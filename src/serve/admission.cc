@@ -44,13 +44,14 @@ bool
 AdmissionController::arrive(const QueuedRequest &req)
 {
     ++nArrivals;
+    const std::uint32_t tenant = internTenant(req.tenant);
 
     // Even with a free slot, a nonempty queue means someone is ahead;
     // jumping it would undermine the release policy's ordering. A
     // priority request (interrupted session retrying) is the exception:
     // it already served its wait before the fault.
-    if (liveCount < slots && (pending.empty() || req.priority)) {
-        noteLive(req.tenant);
+    if (liveCount < slots && (pool.empty() || req.priority)) {
+        noteLive(tenant);
         ++nDirect;
         NEON_TRACE(obs::TraceCategory::Serve, obs::TraceKind::Instant,
                    "adm.admit_direct",
@@ -60,14 +61,31 @@ AdmissionController::arrive(const QueuedRequest &req)
         return true;
     }
 
-    pending.push_back(req);
-    if (pending.size() > peakQueue)
-        peakQueue = pending.size();
+    if (!poolIndex.try_emplace(req.session, pool.size()).second)
+        panic("admission: session ", req.session, " is already queued");
+    pool.push_back(req);
+    slotOf.push_back(Slot{tenant, nArrivals});
+
+    RankQueue &rq = ranks[req.qosPriority];
+    if (rq.byClass.size() <= req.cls)
+        rq.byClass.resize(req.cls + 1, 0);
+    ++rq.byClass[req.cls];
+    if (req.priority) {
+        retries.emplace(nArrivals, req.session);
+    } else {
+        if (rq.byTenant.size() <= tenant)
+            rq.byTenant.resize(tenant + 1);
+        rq.byTenant[tenant].insert(keyOf(req));
+        ++rq.ordinary;
+    }
+
+    if (pool.size() > peakQueue)
+        peakQueue = pool.size();
     NEON_TRACE(obs::TraceCategory::Serve, obs::TraceKind::Instant,
                "adm.enqueue",
                obs::TraceIds{-1, -1,
                              static_cast<std::int32_t>(req.session)},
-               pending.size(), liveCount);
+               pool.size(), liveCount);
     return false;
 }
 
@@ -77,11 +95,9 @@ AdmissionController::depart(const std::string &tenant)
     if (liveCount == 0)
         panic("admission: departure with no live sessions");
     --liveCount;
-    auto it = liveByTenant.find(tenant);
-    if (it != liveByTenant.end() && it->second > 0) {
-        if (--it->second == 0)
-            liveByTenant.erase(it);
-    }
+    auto it = tenantIndex.find(tenant);
+    if (it != tenantIndex.end() && liveByTenant[it->second] > 0)
+        --liveByTenant[it->second];
 
     return releaseIfFree();
 }
@@ -89,7 +105,7 @@ AdmissionController::depart(const std::string &tenant)
 std::optional<QueuedRequest>
 AdmissionController::releaseIfFree()
 {
-    if (pending.empty() || liveCount >= slots)
+    if (pool.empty() || liveCount >= slots)
         return std::nullopt;
     return releaseOne();
 }
@@ -97,89 +113,121 @@ AdmissionController::releaseIfFree()
 std::optional<QueuedRequest>
 AdmissionController::releaseOne()
 {
-    const std::size_t i = pickNext();
-    QueuedRequest out = pending[i];
-    pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(i));
-    noteLive(out.tenant);
+    // Interrupted sessions resume before ordinary admissions regardless
+    // of policy, FIFO among themselves.
+    std::uint64_t pick = 0;
+    if (!retries.empty()) {
+        pick = retries.begin()->second;
+    } else {
+        // The best rank holding an ordinary request decides; within it,
+        // the least (live count, head key) over the tenant buckets.
+        // Tenants are few, so scanning the heads beats keeping a
+        // second index over them that every admit would re-key.
+        for (const auto &[rank, rq] : ranks) {
+            if (rq.ordinary == 0)
+                continue;
+            const BucketKey *best = nullptr;
+            std::size_t bestLive = 0;
+            for (std::size_t t = 0; t < rq.byTenant.size(); ++t) {
+                if (rq.byTenant[t].empty())
+                    continue;
+                const BucketKey &head = *rq.byTenant[t].begin();
+                const std::size_t live =
+                    kind == AdmissionKind::FairShare ? liveByTenant[t] : 0;
+                if (!best || live < bestLive ||
+                    (live == bestLive && head < *best)) {
+                    best = &head;
+                    bestLive = live;
+                }
+            }
+            pick = std::get<2>(*best);
+            break;
+        }
+    }
+
+    const std::size_t i = poolIndex.at(pick);
+    QueuedRequest out = pool[i];
+    const std::uint32_t tenant = slotOf[i].tenant;
+    erasePending(i);
+    noteLive(tenant);
     ++nReleased;
     NEON_TRACE(obs::TraceCategory::Serve, obs::TraceKind::Instant,
                "adm.release",
                obs::TraceIds{-1, -1,
                              static_cast<std::int32_t>(out.session)},
-               pending.size(), 0);
+               pool.size(), 0);
     return out;
 }
 
 bool
 AdmissionController::removePending(std::uint64_t session)
 {
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-        if (pending[i].session == session) {
-            pending.erase(pending.begin() +
-                          static_cast<std::ptrdiff_t>(i));
-            return true;
-        }
+    auto it = poolIndex.find(session);
+    if (it == poolIndex.end())
+        return false;
+    erasePending(it->second);
+    return true;
+}
+
+void
+AdmissionController::erasePending(std::size_t i)
+{
+    const QueuedRequest &r = pool[i];
+    RankQueue &rq = ranks.find(r.qosPriority)->second;
+    --rq.byClass[r.cls];
+    if (r.priority) {
+        retries.erase({slotOf[i].seq, r.session});
+    } else {
+        rq.byTenant[slotOf[i].tenant].erase(keyOf(r));
+        --rq.ordinary;
     }
-    return false;
+    poolIndex.erase(r.session);
+
+    if (i + 1 != pool.size()) {
+        pool[i] = std::move(pool.back());
+        slotOf[i] = slotOf.back();
+        poolIndex[pool[i].session] = i;
+    }
+    pool.pop_back();
+    slotOf.pop_back();
+}
+
+AdmissionController::BucketKey
+AdmissionController::keyOf(const QueuedRequest &r) const
+{
+    // 0 = no deadline = infinitely late.
+    return {kind == AdmissionKind::ShortestDemand ? r.demand : 0.0,
+            r.deadline > 0 ? r.deadline : maxTick, r.session};
+}
+
+std::uint32_t
+AdmissionController::internTenant(const std::string &tenant)
+{
+    const auto [it, added] = tenantIndex.try_emplace(
+        tenant, static_cast<std::uint32_t>(liveByTenant.size()));
+    if (added)
+        liveByTenant.push_back(0);
+    return it->second;
 }
 
 std::size_t
 AdmissionController::liveOf(const std::string &tenant) const
 {
-    auto it = liveByTenant.find(tenant);
-    return it == liveByTenant.end() ? 0 : it->second;
-}
-
-bool
-AdmissionController::releasesBefore(const QueuedRequest &a,
-                                    const QueuedRequest &b) const
-{
-    if (a.qosPriority != b.qosPriority)
-        return a.qosPriority < b.qosPriority;
-
-    switch (kind) {
-      case AdmissionKind::Fifo:
-        break; // no policy key; fall through to deadline/id
-
-      case AdmissionKind::ShortestDemand:
-        if (a.demand != b.demand)
-            return a.demand < b.demand;
-        break;
-
-      case AdmissionKind::FairShare: {
-        const std::size_t la = liveOf(a.tenant);
-        const std::size_t lb = liveOf(b.tenant);
-        if (la != lb)
-            return la < lb;
-        break;
-      }
-    }
-
-    // 0 = no deadline = infinitely late.
-    const Tick da = a.deadline > 0 ? a.deadline : maxTick;
-    const Tick db = b.deadline > 0 ? b.deadline : maxTick;
-    if (da != db)
-        return da < db;
-
-    return a.session < b.session;
+    auto it = tenantIndex.find(tenant);
+    return it == tenantIndex.end() ? 0 : liveByTenant[it->second];
 }
 
 std::size_t
-AdmissionController::pickNext() const
+AdmissionController::queuedThrough(int rank, std::size_t cls) const
 {
-    // Interrupted sessions resume before ordinary admissions regardless
-    // of policy, FIFO among themselves.
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-        if (pending[i].priority)
-            return i;
+    std::size_t n = 0;
+    for (const auto &[r, rq] : ranks) {
+        if (r > rank)
+            break;
+        if (cls < rq.byClass.size())
+            n += rq.byClass[cls];
     }
-
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < pending.size(); ++i) {
-        if (releasesBefore(pending[i], pending[best]))
-            best = i;
-    }
-    return best;
+    return n;
 }
 
 } // namespace neon

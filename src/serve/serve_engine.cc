@@ -130,6 +130,7 @@ ServeEngine::onArrival(std::size_t cls)
     qr.demand = c.demand;
     qr.enqueued = eq.now();
     qr.qosPriority = qosRankOf(cls);
+    qr.cls = cls;
     // Deadline-aware release ordering is part of the QoS feature; off,
     // the budget only drives shedding and goodput, never queue order.
     qr.deadline =
@@ -156,7 +157,7 @@ ServeEngine::onArrival(std::size_t cls)
     if (adm.arrive(qr)) {
         admitSession(sid);
     } else if (cfg.qos.enabled && cfg.qos.preemption &&
-               !adm.queued().empty()) {
+               adm.pendingCount() > 0) {
         // Queued interactive arrivals may displace a live batch
         // incarnation; the freed slot releases the queue's best
         // request (priority retries first, then this arrival by QoS
@@ -441,6 +442,7 @@ ServeEngine::retryArrive(std::uint64_t sid)
     qr.tenant = s.tenant;
     qr.demand = c.demand;
     qr.enqueued = eq.now();
+    qr.cls = s.cls;
     qr.priority = true;
     if (adm.arrive(qr))
         admitSession(sid);
@@ -512,12 +514,13 @@ ServeEngine::queuedWorkAhead(int rank) const
     // @p rank delays it: with QoS on, an interactive request jumps the
     // batch backlog, so batch holds must not inflate its prediction.
     // With QoS off every request carries rank 0 and all queued work
-    // counts, exactly the rank-blind model.
+    // counts, exactly the rank-blind model. Holds move with every
+    // departure, so the sum is rebuilt from the controller's per-class
+    // counts and the current holds: O(classes), not O(queue).
     Tick work = 0;
-    for (const QueuedRequest &r : adm.queued()) {
-        if (r.qosPriority > rank)
-            continue;
-        work += shedder.holdOf(classes[sessions[r.session]->cls].label);
+    for (std::size_t c = 0; c < classes.size(); ++c) {
+        if (const std::size_t n = adm.queuedThrough(rank, c))
+            work += static_cast<Tick>(n) * shedder.holdOf(classes[c].label);
     }
     return work;
 }
@@ -643,6 +646,7 @@ ServeEngine::preemptRequeue(std::uint64_t sid)
     qr.demand = c.demand;
     qr.enqueued = eq.now();
     qr.qosPriority = qosRankOf(s.cls);
+    qr.cls = s.cls;
     qr.deadline =
         cfg.qos.enabled && budget > 0 ? eq.now() + budget : 0;
     // No priority flag: a preempted batch session re-queues behind

@@ -84,8 +84,9 @@ TEST(FaultPlan, PlanIsTimeOrderedWithinHorizonAndDeviceRange)
         EXPECT_GE(plan[i].at, 0);
         EXPECT_LE(plan[i].at, cfg.horizon);
         EXPECT_LT(plan[i].device, 4u);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_LE(plan[i - 1].at, plan[i].at);
+        }
     }
 }
 
@@ -100,8 +101,9 @@ TEST(FaultPlan, ScriptMergedInOrder)
 
     int scriptedSeen = 0;
     for (std::size_t i = 0; i < plan.size(); ++i) {
-        if (i > 0)
+        if (i > 0) {
             EXPECT_LE(plan[i - 1].at, plan[i].at);
+        }
         if (plan[i].at == sec(20) && plan[i].kind == FaultKind::DeviceDeath &&
             plan[i].device == 2 && plan[i].duration == msec(300))
             ++scriptedSeen;
