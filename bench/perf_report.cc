@@ -167,7 +167,7 @@ endToEndDfq()
     r.events = w.eq.executed();
     r.peakLive = w.eq.stats().peakLive;
 
-    if (res.deviceBusy <= 0) {
+    if (res.deviceBusy.at(0) <= 0) {
         std::cerr << "perf_report: end-to-end run did no device work\n";
         std::exit(2);
     }

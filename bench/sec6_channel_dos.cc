@@ -62,7 +62,7 @@ runScenario(bool protect)
     r.channels = attacker.channelsCreated;
     r.attackerStop = attacker.firstFailure;
     r.victimGotChannel = victim.channelsCreated > 0;
-    for (Task *t : world.kernel.tasks()) {
+    for (Task *t : world.fleet.tasks()) {
         if (t->name() == "victim")
             r.victimRounds = t->roundTimes().count();
     }

@@ -29,7 +29,7 @@ main()
         world.runFor(cfg.measure);
         RunResult r = world.results();
 
-        const auto &pt = world.trace.of(t.pid());
+        const auto &pt = world.traceOf(0).of(t.pid());
         std::string paper_req = Table::num(p.paperReqUs, 0);
         if (p.paperReqUs2 > 0)
             paper_req += "/" + Table::num(p.paperReqUs2, 0);

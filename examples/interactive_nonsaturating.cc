@@ -42,7 +42,7 @@ main()
         table.addRow({schedKindName(kind),
                       Table::num(sd_batch, 2) + "x",
                       Table::num(sd_inter, 2) + "x",
-                      Table::num(100.0 * toSec(r.deviceBusy) /
+                      Table::num(100.0 * toSec(r.deviceBusy[0]) /
                                      toSec(r.elapsed), 1) + "%"});
     }
 

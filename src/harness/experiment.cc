@@ -5,7 +5,6 @@
 #include "metrics/reporter.hh"
 #include "sched/direct.hh"
 #include "sched/disengaged_timeslice.hh"
-#include "sched/vtime_tap.hh"
 #include "sim/logging.hh"
 #include "workload/synthetic_app.hh"
 
@@ -138,153 +137,6 @@ makeWorkloadBody(Task &t, const WorkloadSpec &spec, std::uint64_t seed)
     panic("unknown workload kind");
 }
 
-namespace
-{
-
-/** Deterministic per-task seed derivation (spawn order @p i). */
-std::uint64_t
-taskSeed(const ExperimentConfig &cfg, std::size_t i)
-{
-    return cfg.seed * 0x9e3779b9u + 0x1000 * (i + 1);
-}
-
-} // namespace
-
-World::World(const ExperimentConfig &cfg)
-    : device(eq, cfg.device, meter), kernel(eq, device, cfg.costs,
-                                            cfg.channelPolicy),
-      cfg(cfg)
-{
-    kernel.polling().setPeriod(cfg.pollPeriod);
-    sched = makeScheduler(cfg, kernel, &meter);
-    kernel.setScheduler(sched.get());
-    if (cfg.collectTraces)
-        trace.attach(device);
-    if (cfg.observe.enabled()) {
-        observer = std::make_unique<obs::Observer>(eq, cfg.observe);
-        observer->metrics().probe("eq.executed", [this] {
-            return static_cast<double>(eq.executed());
-        });
-        observer->start();
-    }
-    if (cfg.fault.watchdog.enabled) {
-        watchdog = std::make_unique<Watchdog>(eq, kernel,
-                                              cfg.fault.watchdog, 0);
-    }
-    if (cfg.observe.audit.enabled) {
-        auditor = std::make_unique<obs::Auditor>(eq, cfg.observe.audit);
-        if (dynamic_cast<VirtualTimeTap *>(sched.get())) {
-            auditor->addMonotone("dev0.vtime_monotone", [this] {
-                return static_cast<double>(
-                    dynamic_cast<const VirtualTimeTap *>(sched.get())
-                        ->tapSystemVtime());
-            });
-        }
-        auditor->addMonotone("dev0.busy_monotone", [this] {
-            return static_cast<double>(meter.totalBusy());
-        });
-        if (watchdog) {
-            const WatchdogConfig wdc = cfg.fault.watchdog;
-            auditor->addFinal(
-                "watchdog.latency_bound",
-                [this, wdc](obs::AuditLog &log, Tick now) {
-                    for (const WatchdogKill &k : watchdog->killLog()) {
-                        const Tick timeout = k.cause == WatchdogCause::Hang
-                            ? wdc.hangTimeout
-                            : wdc.runawayTimeout;
-                        const Tick bound = timeout + 2 * wdc.checkPeriod;
-                        log.check(k.latency <= bound,
-                                  "watchdog.latency_bound", now, bound,
-                                  k.latency);
-                    }
-                });
-        }
-        auditor->start();
-    }
-}
-
-World::~World() = default;
-
-Task &
-World::spawn(const WorkloadSpec &spec)
-{
-    auto task = std::make_unique<Task>(kernel, spec.label);
-    Task &ref = *task;
-    taskStore.push_back(std::move(task));
-    specs.push_back(spec);
-    return ref;
-}
-
-void
-World::start()
-{
-    for (std::size_t i = 0; i < taskStore.size(); ++i) {
-        Task &t = *taskStore[i];
-        kernel.startTask(t,
-                         makeWorkloadBody(t, specs[i], taskSeed(cfg, i)));
-    }
-    kernel.start();
-    if (watchdog)
-        watchdog->start();
-}
-
-void
-World::beginMeasurement()
-{
-    measureStart = eq.now();
-    busyAtMeasureStart = meter.totalBusy();
-    switchAtMeasureStart = meter.totalSwitchOverhead();
-    baselineRequests.clear();
-    baselineBusy.clear();
-    for (auto &t : taskStore) {
-        t->resetStats();
-        baselineRequests.push_back(meter.requestsOf(t->pid()));
-        baselineBusy.push_back(meter.busyOf(t->pid()));
-    }
-    trace.reset();
-}
-
-RunResult
-World::results()
-{
-    RunResult r;
-    r.elapsed = eq.now() - measureStart;
-    r.deviceBusy = meter.totalBusy() - busyAtMeasureStart;
-    r.switchOverhead =
-        meter.totalSwitchOverhead() - switchAtMeasureStart;
-    r.kills = kernel.killCount();
-
-    for (std::size_t i = 0; i < taskStore.size(); ++i) {
-        Task &t = *taskStore[i];
-        TaskResult tr;
-        tr.label = specs[i].label;
-        tr.pid = t.pid();
-        tr.meanRoundUs = t.roundTimes().mean();
-        tr.rounds = t.roundTimes().count();
-        tr.gpuBusy = meter.busyOf(t.pid()) -
-            (i < baselineBusy.size() ? baselineBusy[i] : 0);
-        tr.requests = meter.requestsOf(t.pid()) -
-            (i < baselineRequests.size() ? baselineRequests[i] : 0);
-        tr.killed = t.killed();
-        r.tasks.push_back(std::move(tr));
-    }
-    if (auditor) {
-        auditor->finalize();
-        r.audit = auditor->report();
-    }
-    return r;
-}
-
-const FleetTaskResult &
-FleetRunResult::byLabel(const std::string &label) const
-{
-    for (const auto &t : tasks) {
-        if (t.label == label)
-            return t;
-    }
-    panic("no task labelled ", label, " in fleet results");
-}
-
 Tick
 resolveShardWindow(const ExperimentConfig &cfg)
 {
@@ -299,6 +151,13 @@ resolveShardWindow(const ExperimentConfig &cfg)
 namespace
 {
 
+/** Deterministic per-task seed derivation (spawn order @p i). */
+std::uint64_t
+taskSeed(const ExperimentConfig &cfg, std::size_t i)
+{
+    return cfg.seed * 0x9e3779b9u + 0x1000 * (i + 1);
+}
+
 /** cfg.shards with the window grid resolved (parallel runs only). */
 ShardConfig
 resolvedShards(const ExperimentConfig &cfg)
@@ -311,7 +170,7 @@ resolvedShards(const ExperimentConfig &cfg)
 
 } // namespace
 
-FleetWorld::FleetWorld(const ExperimentConfig &cfg)
+World::World(const ExperimentConfig &cfg)
     : shardCore(resolvedShards(cfg), eq, cfg.fleet.devices),
       fleet(shardCore, cfg.fleet, cfg.device, cfg.costs,
             cfg.channelPolicy, cfg.pollPeriod,
@@ -344,10 +203,10 @@ FleetWorld::FleetWorld(const ExperimentConfig &cfg)
     }
 }
 
-FleetWorld::~FleetWorld() = default;
+World::~World() = default;
 
 Task &
-FleetWorld::spawn(const WorkloadSpec &spec)
+World::spawn(const WorkloadSpec &spec)
 {
     PlacementRequest req;
     req.label = spec.label;
@@ -359,7 +218,7 @@ FleetWorld::spawn(const WorkloadSpec &spec)
 }
 
 void
-FleetWorld::start()
+World::start()
 {
     const std::vector<Task *> &tasks = fleet.tasks();
     for (std::size_t i = 0; i < tasks.size(); ++i) {
@@ -371,7 +230,7 @@ FleetWorld::start()
 }
 
 void
-FleetWorld::beginMeasurement()
+World::beginMeasurement()
 {
     measureStart = eq.now();
     baselineBusy.clear();
@@ -392,10 +251,10 @@ FleetWorld::beginMeasurement()
         t->reset();
 }
 
-FleetRunResult
-FleetWorld::results()
+RunResult
+World::results()
 {
-    FleetRunResult r;
+    RunResult r;
     r.elapsed = eq.now() - measureStart;
     r.kills = fleet.totalKills();
 
@@ -419,7 +278,7 @@ FleetWorld::results()
         u.requests -=
             i < baselineRequests.size() ? baselineRequests[i] : 0;
 
-        FleetTaskResult tr;
+        TaskResult tr;
         tr.label = u.label;
         tr.device = u.device;
         tr.pid = u.pid;
@@ -443,19 +302,6 @@ FleetWorld::results()
     return r;
 }
 
-FleetRunResult
-FleetRunner::run(const std::vector<WorkloadSpec> &specs) const
-{
-    FleetWorld world(cfg);
-    for (const auto &s : specs)
-        world.spawn(s);
-    world.start();
-    world.runFor(cfg.warmup);
-    world.beginMeasurement();
-    world.runFor(cfg.measure);
-    return world.results();
-}
-
 RunResult
 ExperimentRunner::run(const std::vector<WorkloadSpec> &specs) const
 {
@@ -474,6 +320,8 @@ ExperimentRunner::soloRoundUs(const WorkloadSpec &spec) const
 {
     ExperimentConfig solo_cfg = cfg;
     solo_cfg.sched = SchedKind::Direct;
+    solo_cfg.fleet = {};
+    solo_cfg.shards = {};
     solo_cfg.observe = {}; // baselines never trace
     ExperimentRunner solo(solo_cfg);
     const RunResult r = solo.run({spec});

@@ -1,8 +1,9 @@
 /**
  * @file
- * Experiment harness: assembles a world (device + kernel + scheduler +
- * tasks), runs warmup and measurement windows, and reports the paper's
- * metrics (per-round times, slowdowns, concurrency efficiency).
+ * Experiment harness: assembles a world (device stacks of device +
+ * kernel + scheduler, and tasks), runs warmup and measurement windows,
+ * and reports the paper's metrics (per-round times, slowdowns,
+ * concurrency efficiency) plus fleet throughput and fairness.
  */
 
 #ifndef NEON_HARNESS_EXPERIMENT_HH
@@ -67,9 +68,9 @@ struct ExperimentConfig
     EngagedFqConfig engagedFq;
 
     /**
-     * Multi-device fleet shape (FleetWorld/FleetRunner only; the
-     * single-device World ignores it). Each device runs its own
-     * instance of the policy selected by `sched`.
+     * Device fleet shape: one template-speed device by default (the
+     * paper's setup). Each device runs its own instance of the policy
+     * selected by `sched`.
      */
     FleetConfig fleet;
 
@@ -89,13 +90,12 @@ struct ExperimentConfig
     FaultConfig fault;
 
     /**
-     * Sharded parallel simulation core (FleetWorld/ServeWorld): the
-     * fleet is partitioned into `shards.count` device groups, each on
-     * its own event queue and worker thread, synchronized on a
-     * conservative window grid (resolveShardWindow). count <= 1 keeps
-     * the serial single-queue core, bit-identical to previous PRs;
+     * Sharded parallel simulation core: the fleet is partitioned into
+     * `shards.count` device groups, each on its own event queue and
+     * worker thread, synchronized on a conservative window grid
+     * (resolveShardWindow). count <= 1 (the default) keeps the serial
+     * single-queue core; 1-shard runs are bit-identical to it, and
      * N-shard runs are deterministic across repeats and thread counts.
-     * The single-device World ignores this block.
      */
     ShardConfig shards;
 
@@ -157,88 +157,6 @@ struct WorkloadSpec
     double demand = 1.0;
 };
 
-/** Per-task outcome of a run. */
-struct TaskResult
-{
-    std::string label;
-    int pid = 0;
-    double meanRoundUs = 0.0;
-    std::uint64_t rounds = 0;
-    Tick gpuBusy = 0;           ///< ground-truth device time (measurement)
-    std::uint64_t requests = 0; ///< completed device requests
-    bool killed = false;
-};
-
-/** Whole-run outcome. */
-struct RunResult
-{
-    std::vector<TaskResult> tasks;
-    Tick elapsed = 0;
-    Tick deviceBusy = 0;       ///< execute-engine busy (measurement window)
-    Tick switchOverhead = 0;
-    std::uint64_t kills = 0;
-
-    /** Invariant-audit outcome (checks == 0 when the auditor was off). */
-    obs::AuditReport audit;
-
-    const TaskResult &byLabel(const std::string &label) const;
-};
-
-/**
- * An assembled simulation world. Exposed so tests and examples can
- * poke at internals; benches normally go through ExperimentRunner.
- */
-class World
-{
-  public:
-    explicit World(const ExperimentConfig &cfg);
-    ~World();
-
-    World(const World &) = delete;
-    World &operator=(const World &) = delete;
-
-    /** Create a task running @p spec; call before start(). */
-    Task &spawn(const WorkloadSpec &spec);
-
-    /** Start the kernel (polling + policy) and all spawned tasks. */
-    void start();
-
-    /** Run for @p d simulated time. */
-    void runFor(Tick d) { eq.runFor(d); }
-
-    /** Begin the measurement window: clear all statistics. */
-    void beginMeasurement();
-
-    /** Harvest results since beginMeasurement(). */
-    RunResult results();
-
-    EventQueue eq;
-    UsageMeter meter;
-    GpuDevice device;
-    KernelModule kernel;
-    std::unique_ptr<Scheduler> sched;
-    RequestTrace trace;
-
-    /** Tracing/metrics bundle (cfg.observe.enabled() only, else null). */
-    std::unique_ptr<obs::Observer> observer;
-
-    /** Invariant auditor (cfg.observe.audit.enabled; on by default). */
-    std::unique_ptr<obs::Auditor> auditor;
-
-    /** Watchdog service (cfg.fault.watchdog.enabled only, else null). */
-    std::unique_ptr<Watchdog> watchdog;
-
-  private:
-    ExperimentConfig cfg;
-    std::vector<std::unique_ptr<Task>> taskStore;
-    std::vector<WorkloadSpec> specs;
-    std::vector<std::uint64_t> baselineRequests;
-    std::vector<Tick> baselineBusy;
-    Tick measureStart = 0;
-    Tick busyAtMeasureStart = 0;
-    Tick switchAtMeasureStart = 0;
-};
-
 /**
  * Build the scheduling policy selected by @p cfg for one kernel
  * module. @p vendor_counters (the device's ground-truth meter) is
@@ -252,7 +170,7 @@ makeScheduler(const ExperimentConfig &cfg, KernelModule &kernel,
 
 /**
  * Instantiate @p spec's workload body for @p t. Shared by the closed
- * worlds (spawn at t0) and the serving layer (bodies restarted per
+ * world (spawn at t0) and the serving layer (bodies restarted per
  * session incarnation).
  */
 Co makeWorkloadBody(Task &t, const WorkloadSpec &spec, std::uint64_t seed);
@@ -268,25 +186,25 @@ Co makeWorkloadBody(Task &t, const WorkloadSpec &spec, std::uint64_t seed);
  */
 Tick resolveShardWindow(const ExperimentConfig &cfg);
 
-/** Per-task outcome of a fleet run. */
-struct FleetTaskResult
+/** Per-task outcome of a run. */
+struct TaskResult
 {
     std::string label;
     std::size_t device = 0; ///< device the task was placed on
     int pid = 0;            ///< pid within that device's kernel
     double meanRoundUs = 0.0;
     std::uint64_t rounds = 0;
-    Tick gpuBusy = 0;
-    std::uint64_t requests = 0;
+    Tick gpuBusy = 0;           ///< ground-truth device time (measurement)
+    std::uint64_t requests = 0; ///< completed device requests
     bool killed = false;
 };
 
-/** Whole-fleet outcome of a run. */
-struct FleetRunResult
+/** Whole-run outcome. */
+struct RunResult
 {
-    std::vector<FleetTaskResult> tasks;
+    std::vector<TaskResult> tasks;
     Tick elapsed = 0;
-    std::vector<Tick> deviceBusy; ///< per-device busy (window)
+    std::vector<Tick> deviceBusy; ///< per-device busy (measurement window)
     std::uint64_t requests = 0;   ///< fleet-wide completions (window)
     Tick switchOverhead = 0;      ///< fleet-wide arbitration overhead
     std::uint64_t kills = 0;
@@ -296,37 +214,41 @@ struct FleetRunResult
     /** Invariant-audit outcome (checks == 0 when the auditor was off). */
     obs::AuditReport audit;
 
-    const FleetTaskResult &byLabel(const std::string &label) const;
+    const TaskResult &byLabel(const std::string &label) const;
 };
 
 /**
- * A multi-device simulation world: cfg.fleet.devices independent
- * device stacks, each running cfg.sched, with tasks routed to devices
- * by cfg.fleet.placement. The single-device World remains the
- * unsharded special case.
+ * An assembled simulation world: cfg.fleet.devices independent device
+ * stacks (one by default, the setup the paper evaluates), each running
+ * cfg.sched, with tasks routed to devices by cfg.fleet.placement and
+ * the devices driven by the serial core or cfg.shards parallel shards.
+ * Exposed so tests and examples can poke at internals (device i is
+ * fleet.stack(i)); benches normally go through ExperimentRunner.
+ * ServeWorld adds the serving layer on top.
  */
-class FleetWorld
+class World
 {
   public:
-    explicit FleetWorld(const ExperimentConfig &cfg);
-    ~FleetWorld();
+    explicit World(const ExperimentConfig &cfg);
+    ~World();
 
-    FleetWorld(const FleetWorld &) = delete;
-    FleetWorld &operator=(const FleetWorld &) = delete;
+    World(const World &) = delete;
+    World &operator=(const World &) = delete;
 
-    /** Create a task, routed by the placement policy. */
+    /** Create a task, routed by the placement policy; call before start(). */
     Task &spawn(const WorkloadSpec &spec);
 
     /** Start every device's kernel and all spawned tasks. */
     void start();
 
+    /** Run for @p d simulated time. */
     void runFor(Tick d) { shardCore.runFor(d); }
 
     /** Begin the measurement window: snapshot all statistics. */
     void beginMeasurement();
 
     /** Harvest results since beginMeasurement(). */
-    FleetRunResult results();
+    RunResult results();
 
     /** Device @p i's request trace (cfg.collectTraces only). */
     RequestTrace &
@@ -351,8 +273,10 @@ class FleetWorld
     /** Invariant auditor (cfg.observe.audit.enabled; on by default). */
     std::unique_ptr<obs::Auditor> auditor;
 
-  private:
+  protected:
     ExperimentConfig cfg;
+
+  private:
     std::vector<WorkloadSpec> specs; // parallel to fleet.tasks()
     std::vector<std::unique_ptr<RequestTrace>> traces; // per device
     std::vector<Tick> baselineBusy;
@@ -361,22 +285,6 @@ class FleetWorld
     std::vector<Tick> deviceSwitchBaseline;
     std::vector<Tick> vtimeBaseline;
     Tick measureStart = 0;
-};
-
-/** Convenience driver for fleet runs (mirrors ExperimentRunner). */
-class FleetRunner
-{
-  public:
-    explicit FleetRunner(ExperimentConfig cfg) : cfg(std::move(cfg)) {}
-
-    /** Run the given workloads together across the fleet. */
-    FleetRunResult run(const std::vector<WorkloadSpec> &specs) const;
-
-    const ExperimentConfig &config() const { return cfg; }
-    ExperimentConfig &config() { return cfg; }
-
-  private:
-    ExperimentConfig cfg;
 };
 
 /** Convenience driver for the common run patterns. */
@@ -389,8 +297,9 @@ class ExperimentRunner
     RunResult run(const std::vector<WorkloadSpec> &specs) const;
 
     /**
-     * Solo baseline: run one workload alone under direct access (the
-     * paper's normalization basis). Returns the mean round time in us.
+     * Solo baseline: run one workload alone under direct access on
+     * one template-speed serial device (the paper's normalization
+     * basis). Returns the mean round time in us.
      */
     double soloRoundUs(const WorkloadSpec &spec) const;
 

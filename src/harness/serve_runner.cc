@@ -61,61 +61,26 @@ ServeRunResult::byLabel(const std::string &label) const
     panic("no session labelled ", label, " in serve results");
 }
 
-namespace
-{
-
-/** cfg.shards with the window grid resolved (parallel runs only). */
-ShardConfig
-resolvedShards(const ExperimentConfig &cfg)
-{
-    ShardConfig s = cfg.shards;
-    if (s.parallel())
-        s.window = resolveShardWindow(cfg);
-    return s;
-}
-
-} // namespace
-
 ServeWorld::ServeWorld(const ExperimentConfig &cfg,
                        const std::vector<ServeWorkloadSpec> &specs)
-    : shardCore(resolvedShards(cfg), eq, cfg.fleet.devices),
-      fleet(shardCore, cfg.fleet, cfg.device, cfg.costs,
-            cfg.channelPolicy, cfg.pollPeriod,
-            [&cfg](KernelModule &kernel, const UsageMeter &meter,
-                   std::size_t) {
-                return makeScheduler(cfg, kernel, &meter);
-            }),
+    : World(cfg),
       engine(eq, fleet, cfg.serve, classesFrom(specs),
-             resolveSlotsPerDevice(cfg), cfg.seed),
-      cfg(cfg)
+             resolveSlotsPerDevice(cfg), cfg.seed)
 {
-    if (cfg.observe.enabled()) {
-        observer = std::make_unique<obs::Observer>(eq, cfg.observe);
-        observer->attachFleet(fleet);
+    if (observer)
         observer->attachServe(engine);
-        observer->attachShards(shardCore);
-        observer->start();
-    }
     if (cfg.observe.analyze.enabled()) {
         analyzer = std::make_unique<obs::Analyzer>(eq, fleet, engine,
                                                    cfg.observe.analyze);
         analyzer->start();
     }
-    if (cfg.fault.watchdog.enabled)
-        fleet.enableWatchdog(cfg.fault.watchdog);
     if (cfg.fault.plan.any()) {
         injector = std::make_unique<FaultInjector>(eq, fleet,
                                                    cfg.fault.plan,
                                                    cfg.seed);
     }
-    if (cfg.observe.audit.enabled) {
-        auditor = std::make_unique<obs::Auditor>(eq, cfg.observe.audit);
-        obs::registerFleetAudits(
-            *auditor, fleet,
-            cfg.fault.watchdog.enabled ? &cfg.fault.watchdog : nullptr);
+    if (auditor)
         obs::registerServeAudits(*auditor, engine, fleet);
-        auditor->start();
-    }
 }
 
 ServeWorld::~ServeWorld() = default;
@@ -123,7 +88,7 @@ ServeWorld::~ServeWorld() = default;
 void
 ServeWorld::start()
 {
-    fleet.start();
+    World::start();
     engine.start();
     if (injector)
         injector->start();
@@ -297,11 +262,9 @@ ServeWorld::results()
         }
     }
 
-    // Goodput against the configured SLO targets (queue + sojourn
-    // here; the slowdown target needs baselines and is refined in
-    // ServeRunner). The queue budget is per class when set, so the
-    // bound an interactive session is judged by is the one the shedder
-    // used at its front door.
+    // Goodput against the configured SLO targets. The queue budget is
+    // per class when set, so the bound an interactive session is
+    // judged by is the one the shedder used at its front door.
     const auto queueBudgetOf = [this](std::size_t cls) {
         const Tick own = engine.workloadClasses()[cls].queueBudget;
         return own > 0 ? own : cfg.serve.slo.queueTarget;
@@ -376,11 +339,8 @@ ServeRunner::run(const std::vector<ServeWorkloadSpec> &specs,
         // template-speed device under direct access (the paper's
         // normalization basis), reused for every session of the class.
         ExperimentConfig solo_cfg = cfg;
-        solo_cfg.sched = SchedKind::Direct;
-        solo_cfg.fleet = FleetConfig{};
         solo_cfg.warmup = msec(100);
         solo_cfg.measure = msec(500);
-        solo_cfg.observe = {}; // baselines never trace
 
         ExperimentRunner solo(solo_cfg);
 
@@ -400,36 +360,6 @@ ServeRunner::run(const std::vector<ServeWorkloadSpec> &specs,
                 slowdowns.push_back(s.meanRoundUs / it->second);
         }
         r.slo.slowdown = summarizeLatencies(std::move(slowdowns));
-
-        // With baselines in hand, fold the slowdown target into
-        // goodput: a clean departure now has to meet both bounds.
-        if (cfg.serve.slo.slowdownTarget > 0.0) {
-            GoodputReport &gp = r.slo.goodput;
-            gp.met = 0;
-            for (const ServeSessionResult &s : r.sessions) {
-                if (!s.hasDeparted() || s.killed)
-                    continue;
-                bool met = cfg.serve.slo.sojournTarget <= 0 ||
-                    s.departed - s.admitted <= cfg.serve.slo.sojournTarget;
-                const Tick qb = specs[s.cls].queueBudget > 0
-                    ? specs[s.cls].queueBudget
-                    : cfg.serve.slo.queueTarget;
-                if (met && qb > 0 && s.admitted - s.arrived > qb)
-                    met = false;
-                const auto it = solo_round.find(s.cls);
-                if (met && s.rounds > 0 && it != solo_round.end() &&
-                    it->second > 0.0 &&
-                    s.meanRoundUs / it->second >
-                        cfg.serve.slo.slowdownTarget)
-                    met = false;
-                if (met)
-                    ++gp.met;
-            }
-            gp.fraction = gp.eligible > 0
-                ? static_cast<double>(gp.met) /
-                    static_cast<double>(gp.eligible)
-                : 1.0;
-        }
     }
     return r;
 }

@@ -2,14 +2,14 @@
  * @file
  * Harness entry points for open-system serving runs.
  *
- * ServeWorld assembles a fleet (cfg.fleet) plus a ServeEngine
- * (cfg.serve) fed by ServeWorkloadSpecs — each a workload template
- * with an arrival process and a lifetime distribution. ServeRunner
- * drives a whole run and reports SLO percentiles (queueing delay,
- * sojourn, slowdown vs. the class's isolated baseline) alongside
- * fleet-level fairness and throughput.
+ * ServeWorld adds a ServeEngine (cfg.serve) to the closed World's
+ * fleet (cfg.fleet), fed by ServeWorkloadSpecs — each a workload
+ * template with an arrival process and a lifetime distribution.
+ * ServeRunner drives a whole run and reports SLO percentiles (queueing
+ * delay, sojourn, slowdown vs. the class's isolated baseline)
+ * alongside fleet-level fairness and throughput.
  *
- * Unlike the closed runners there is no warmup/measurement split: an
+ * Unlike the closed runner there is no warmup/measurement split: an
  * open run is measured whole, from the first arrival to the horizon,
  * because the transient (queue build-up and drain) is the object of
  * study rather than noise.
@@ -56,7 +56,7 @@ struct ServeWorkloadSpec
     }
 };
 
-/** Outcome of one session (serving analogue of FleetTaskResult). */
+/** Outcome of one session (serving analogue of TaskResult). */
 struct ServeSessionResult
 {
     std::string label;
@@ -160,48 +160,32 @@ struct ServeRunResult
     const ServeSessionResult &byLabel(const std::string &label) const;
 };
 
-/** An assembled open-system world (tests poke at internals). */
-class ServeWorld
+/**
+ * An assembled open-system world (tests poke at internals): the
+ * closed World's fleet, shards, observer, watchdog and auditor plus a
+ * ServeEngine fed by the serving classes, the analysis plane and the
+ * fault injector. Sessions come from arrivals, not World::spawn().
+ */
+class ServeWorld : public World
 {
   public:
     ServeWorld(const ExperimentConfig &cfg,
                const std::vector<ServeWorkloadSpec> &specs);
     ~ServeWorld();
 
-    ServeWorld(const ServeWorld &) = delete;
-    ServeWorld &operator=(const ServeWorld &) = delete;
-
     /** Start fleet kernels, arrivals, and the global clock. */
     void start();
-
-    void runFor(Tick d) { shardCore.runFor(d); }
 
     /** Harvest the whole run (slowdown SLO left to ServeRunner). */
     ServeRunResult results();
 
-    /** Events executed across the control queue and every shard. */
-    std::uint64_t eventsExecuted() const { return shardCore.totalExecuted(); }
-
-    EventQueue eq;           ///< control queue: arrivals, admission,
-                             ///< global clock, fault plan
-    ShardedEngine shardCore; ///< window-sync driver (serial when <=1 shard)
-    FleetManager fleet;
     ServeEngine engine;
-
-    /** Tracing/metrics bundle (cfg.observe.enabled() only, else null). */
-    std::unique_ptr<obs::Observer> observer;
 
     /** Analysis plane (cfg.observe.analyze.enabled() only, else null). */
     std::unique_ptr<obs::Analyzer> analyzer;
 
-    /** Invariant auditor (cfg.observe.audit.enabled; on by default). */
-    std::unique_ptr<obs::Auditor> auditor;
-
     /** Fault injector (cfg.fault.plan.any() only, else null). */
     std::unique_ptr<FaultInjector> injector;
-
-  private:
-    ExperimentConfig cfg;
 };
 
 /**
@@ -210,7 +194,7 @@ class ServeWorld
  */
 std::size_t resolveSlotsPerDevice(const ExperimentConfig &cfg);
 
-/** Convenience driver for serving runs (mirrors FleetRunner). */
+/** Convenience driver for serving runs (mirrors ExperimentRunner). */
 class ServeRunner
 {
   public:

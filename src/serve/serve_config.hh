@@ -177,17 +177,7 @@ struct SloTargetConfig
      */
     Tick queueTarget = 0;
 
-    /**
-     * Bound on per-session slowdown vs. the class's isolated solo
-     * baseline (0 = no target). Needs the runner's with_slowdowns
-     * baselines; the windowed timeline uses the sojourn target only.
-     */
-    double slowdownTarget = 0.0;
-
-    bool any() const
-    {
-        return sojournTarget > 0 || queueTarget > 0 || slowdownTarget > 0.0;
-    }
+    bool any() const { return sojournTarget > 0 || queueTarget > 0; }
 };
 
 /** Serving-layer configuration. */
@@ -239,7 +229,7 @@ struct ServeConfig
     /** Recovery policy for sessions evicted by device failure. */
     RetryConfig retry;
 
-    /** Goodput targets (queue/sojourn/slowdown bounds for "meets SLO"). */
+    /** Goodput targets (queue/sojourn bounds for "meets SLO"). */
     SloTargetConfig slo;
 
     /** Per-tenant token-bucket rate limit ahead of admission. */

@@ -196,7 +196,7 @@ TEST(FleetFailover, FailDeviceDrainsRepairRestores)
     cfg.fleet.placement = PlacementKind::RoundRobin;
     cfg.measure = sec(1);
 
-    FleetWorld world(cfg);
+    World world(cfg);
     for (int i = 0; i < 4; ++i)
         world.spawn(WorkloadSpec::throttle(usec(430)));
     world.start();

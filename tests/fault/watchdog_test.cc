@@ -51,17 +51,17 @@ TEST(Watchdog, KillsInfiniteKernelWithinLatencyBound)
     world.runFor(cfg.measure);
     const RunResult r = world.results();
 
-    ASSERT_NE(world.watchdog, nullptr);
-    EXPECT_GT(world.watchdog->scans(), 0u);
-    EXPECT_EQ(world.watchdog->hangKills(), 1u);
-    EXPECT_EQ(world.watchdog->runawayKills(), 0u);
+    ASSERT_NE(world.fleet.watchdog(0), nullptr);
+    EXPECT_GT(world.fleet.watchdog(0)->scans(), 0u);
+    EXPECT_EQ(world.fleet.watchdog(0)->hangKills(), 1u);
+    EXPECT_EQ(world.fleet.watchdog(0)->runawayKills(), 0u);
     EXPECT_EQ(r.kills, 1u);
     EXPECT_TRUE(r.byLabel("wedged").killed);
 
     // Detection latency is bounded by hangTimeout plus scan
     // granularity (one period to stamp, one to convict).
-    ASSERT_EQ(world.watchdog->killLog().size(), 1u);
-    const WatchdogKill &k = world.watchdog->killLog().front();
+    ASSERT_EQ(world.fleet.watchdog(0)->killLog().size(), 1u);
+    const WatchdogKill &k = world.fleet.watchdog(0)->killLog().front();
     EXPECT_EQ(k.cause, WatchdogCause::Hang);
     EXPECT_GE(k.latency, cfg.fault.watchdog.hangTimeout);
     EXPECT_LE(k.latency,
@@ -89,8 +89,8 @@ TEST(Watchdog, QuietOnHealthyWorkloads)
     world.runFor(cfg.measure);
     const RunResult r = world.results();
 
-    EXPECT_GT(world.watchdog->scans(), 100u);
-    EXPECT_TRUE(world.watchdog->killLog().empty());
+    EXPECT_GT(world.fleet.watchdog(0)->scans(), 100u);
+    EXPECT_TRUE(world.fleet.watchdog(0)->killLog().empty());
     EXPECT_EQ(r.kills, 0u);
 }
 
@@ -108,14 +108,14 @@ TEST(Watchdog, StallIsNotMistakenForHang)
     World world(cfg);
     world.spawn(WorkloadSpec::throttle(usec(430)));
     world.eq.schedule(msec(100), [&world] {
-        world.device.stall(msec(200));
+        world.fleet.stack(0).device.stall(msec(200));
     });
     world.start();
     world.runFor(cfg.measure);
     const RunResult r = world.results();
 
-    EXPECT_EQ(world.device.health(), DeviceHealth::Up);
-    EXPECT_TRUE(world.watchdog->killLog().empty());
+    EXPECT_EQ(world.fleet.stack(0).device.health(), DeviceHealth::Up);
+    EXPECT_TRUE(world.fleet.watchdog(0)->killLog().empty());
     EXPECT_EQ(r.kills, 0u);
     EXPECT_GT(r.byLabel("Throttle(430us)").rounds, 0u);
 }
@@ -143,11 +143,11 @@ TEST(Watchdog, RunawayRequestIsKilledWithoutVictims)
     world.runFor(cfg.measure);
     const RunResult r = world.results();
 
-    EXPECT_EQ(world.watchdog->runawayKills(), 1u);
-    EXPECT_EQ(world.watchdog->hangKills(), 0u);
+    EXPECT_EQ(world.fleet.watchdog(0)->runawayKills(), 1u);
+    EXPECT_EQ(world.fleet.watchdog(0)->hangKills(), 0u);
     EXPECT_TRUE(r.byLabel("hog").killed);
-    ASSERT_EQ(world.watchdog->killLog().size(), 1u);
-    const WatchdogKill &k = world.watchdog->killLog().front();
+    ASSERT_EQ(world.fleet.watchdog(0)->killLog().size(), 1u);
+    const WatchdogKill &k = world.fleet.watchdog(0)->killLog().front();
     EXPECT_EQ(k.cause, WatchdogCause::Runaway);
     EXPECT_GE(k.latency, cfg.fault.watchdog.runawayTimeout);
 }
@@ -181,11 +181,11 @@ TEST(Watchdog, HogThenHangKilledUnderDfqFairnessHoldsForVictims)
     const RunResult r = world.results();
 
     // Killed by the watchdog, within the hang-detection bound.
-    EXPECT_EQ(world.watchdog->hangKills(), 1u);
+    EXPECT_EQ(world.fleet.watchdog(0)->hangKills(), 1u);
     EXPECT_EQ(r.kills, 1u);
     EXPECT_TRUE(r.byLabel("hogThenHang").killed);
-    ASSERT_EQ(world.watchdog->killLog().size(), 1u);
-    const WatchdogKill &k = world.watchdog->killLog().front();
+    ASSERT_EQ(world.fleet.watchdog(0)->killLog().size(), 1u);
+    const WatchdogKill &k = world.fleet.watchdog(0)->killLog().front();
     EXPECT_EQ(k.cause, WatchdogCause::Hang);
     EXPECT_LE(k.latency,
               cfg.fault.watchdog.hangTimeout +

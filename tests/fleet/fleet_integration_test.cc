@@ -1,9 +1,9 @@
 /**
  * @file
- * Integration tests for the fleet layer: routing through FleetWorld,
- * heterogeneous speed factors end to end, throughput scaling, and
- * cross-device fairness under Disengaged Fair Queueing staying within
- * a bound of single-device fairness.
+ * Integration tests for the fleet layer: routing through a multi-device
+ * World, heterogeneous speed factors end to end, throughput scaling,
+ * and cross-device fairness under Disengaged Fair Queueing staying
+ * within a bound of single-device fairness.
  */
 
 #include <gtest/gtest.h>
@@ -29,11 +29,11 @@ fleetConfig(std::size_t devices, SchedKind sched = SchedKind::DisengagedFq)
     return cfg;
 }
 
-TEST(FleetWorld, SpawnRoutesTasksAcrossDevices)
+TEST(MultiDeviceWorld, SpawnRoutesTasksAcrossDevices)
 {
     ExperimentConfig cfg = fleetConfig(2);
     cfg.fleet.placement = PlacementKind::RoundRobin;
-    FleetWorld world(cfg);
+    World world(cfg);
     Task &a = world.spawn(WorkloadSpec::throttle(usec(100)));
     Task &b = world.spawn(WorkloadSpec::throttle(usec(100)));
     Task &c = world.spawn(WorkloadSpec::throttle(usec(100)));
@@ -43,9 +43,9 @@ TEST(FleetWorld, SpawnRoutesTasksAcrossDevices)
     EXPECT_EQ(world.fleet.deviceOf(c), 0u);
 }
 
-TEST(FleetWorld, EachDeviceRunsItsOwnSchedulerInstance)
+TEST(MultiDeviceWorld, EachDeviceRunsItsOwnSchedulerInstance)
 {
-    FleetWorld world(fleetConfig(4));
+    World world(fleetConfig(4));
     ASSERT_EQ(world.fleet.deviceCount(), 4u);
     for (std::size_t i = 0; i < 4; ++i) {
         ASSERT_NE(world.fleet.stack(i).sched, nullptr);
@@ -57,32 +57,16 @@ TEST(FleetWorld, EachDeviceRunsItsOwnSchedulerInstance)
     }
 }
 
-TEST(FleetWorld, SingleDeviceFleetMatchesWorldBehaviour)
-{
-    // devices=1 must reproduce the unsharded world's results closely.
-    ExperimentConfig cfg = fleetConfig(1);
-    FleetRunner fleet_runner(cfg);
-    const FleetRunResult fr =
-        fleet_runner.run({WorkloadSpec::throttle(usec(430))});
-
-    ExperimentRunner runner(cfg);
-    const RunResult r = runner.run({WorkloadSpec::throttle(usec(430))});
-
-    ASSERT_EQ(fr.tasks.size(), 1u);
-    EXPECT_NEAR(fr.tasks[0].meanRoundUs, r.tasks[0].meanRoundUs,
-                0.05 * r.tasks[0].meanRoundUs);
-}
-
-TEST(FleetWorld, SpeedFactorScalesThroughputEndToEnd)
+TEST(MultiDeviceWorld, SpeedFactorScalesThroughputEndToEnd)
 {
     // Two saturating tasks on two devices, one of which is 2x faster:
     // the task on the fast device completes ~2x the requests.
     ExperimentConfig cfg = fleetConfig(2);
     cfg.fleet.placement = PlacementKind::RoundRobin;
     cfg.fleet.speedFactors = {2.0, 1.0};
-    FleetRunner runner(cfg);
+    ExperimentRunner runner(cfg);
 
-    const FleetRunResult r = runner.run({
+    const RunResult r = runner.run({
         WorkloadSpec::throttle(usec(430)),
         WorkloadSpec::throttle(usec(430)),
     });
@@ -94,7 +78,7 @@ TEST(FleetWorld, SpeedFactorScalesThroughputEndToEnd)
     EXPECT_NEAR(ratio, 2.0, 0.3);
 }
 
-TEST(FleetWorld, ThroughputScalesWithDevices)
+TEST(MultiDeviceWorld, ThroughputScalesWithDevices)
 {
     // Four saturating tasks: two devices should complete close to 2x
     // the requests of one device hosting all four.
@@ -105,10 +89,10 @@ TEST(FleetWorld, ThroughputScalesWithDevices)
         WorkloadSpec::throttle(usec(430)),
     };
 
-    FleetRunner one(fleetConfig(1));
-    FleetRunner two(fleetConfig(2));
-    const FleetRunResult r1 = one.run(mix);
-    const FleetRunResult r2 = two.run(mix);
+    ExperimentRunner one(fleetConfig(1));
+    ExperimentRunner two(fleetConfig(2));
+    const RunResult r1 = one.run(mix);
+    const RunResult r2 = two.run(mix);
 
     EXPECT_GT(r2.throughputRps, 1.7 * r1.throughputRps);
 }
@@ -129,8 +113,8 @@ TEST(FleetFairness, CrossDeviceWithinBoundOfSingleDevice)
     ExperimentConfig fleet_cfg = fleetConfig(2);
     fleet_cfg.measure = sec(3);
 
-    const FleetRunResult single = FleetRunner(single_cfg).run(mix);
-    const FleetRunResult sharded = FleetRunner(fleet_cfg).run(mix);
+    const RunResult single = ExperimentRunner(single_cfg).run(mix);
+    const RunResult sharded = ExperimentRunner(fleet_cfg).run(mix);
 
     EXPECT_GE(sharded.fairness.taskFairness,
               single.fairness.taskFairness - 0.1);
@@ -141,7 +125,7 @@ TEST(FleetFairness, CrossDeviceWithinBoundOfSingleDevice)
 TEST(FleetFairness, DfqVtimesAdvanceOnEveryDevice)
 {
     ExperimentConfig cfg = fleetConfig(2);
-    FleetWorld world(cfg);
+    World world(cfg);
     for (int i = 0; i < 4; ++i)
         world.spawn(WorkloadSpec::throttle(usec(430)));
     world.start();
@@ -163,9 +147,9 @@ TEST(FleetFairness, ProtectionStillKillsPerDevice)
     ExperimentConfig cfg = fleetConfig(2);
     cfg.fleet.placement = PlacementKind::RoundRobin;
     cfg.dfq.killThreshold = msec(100);
-    FleetRunner runner(cfg);
+    ExperimentRunner runner(cfg);
 
-    const FleetRunResult r = runner.run({
+    const RunResult r = runner.run({
         WorkloadSpec::custom("malicious",
                              [](Task &t, std::uint64_t) {
                                  return infiniteKernelBody(t, 3,
@@ -180,12 +164,12 @@ TEST(FleetFairness, ProtectionStillKillsPerDevice)
     EXPECT_GT(r.tasks[1].rounds, 10000u);
 }
 
-TEST(FleetWorld, StickyPlacementKeepsTenantTogether)
+TEST(MultiDeviceWorld, StickyPlacementKeepsTenantTogether)
 {
     ExperimentConfig cfg = fleetConfig(3);
     cfg.fleet.placement = PlacementKind::Sticky;
     cfg.fleet.stickyCapacity = 2;
-    FleetWorld world(cfg);
+    World world(cfg);
 
     Task &a =
         world.spawn(WorkloadSpec::throttle(usec(100)).withAffinity("T"));

@@ -57,13 +57,14 @@ TEST_P(PropertySweep, DeviceTimeIsConserved)
     Tick exec_busy = 0;
     for (const auto &t : r.tasks)
         exec_busy += t.gpuBusy;
-    EXPECT_LE(r.deviceBusy, r.elapsed + msec(2));
-    EXPECT_LE(r.deviceBusy - world.meter.totalDmaBusy() +
+    const Tick busy = r.deviceBusy.at(0);
+    EXPECT_LE(busy, r.elapsed + msec(2));
+    EXPECT_LE(busy - world.fleet.stack(0).meter.totalDmaBusy() +
                   r.switchOverhead,
               r.elapsed + msec(2));
 
     // Every per-task figure is accounted inside the total.
-    EXPECT_LE(exec_busy, r.deviceBusy + msec(1));
+    EXPECT_LE(exec_busy, busy + msec(1));
 }
 
 TEST_P(PropertySweep, CompletionsFollowSubmissionOrderPerChannel)
@@ -75,8 +76,9 @@ TEST_P(PropertySweep, CompletionsFollowSubmissionOrderPerChannel)
 
     std::map<int, std::uint64_t> last_completed;
     bool ordered = true;
-    world.device.traceComplete = [&](Channel &c, const GpuRequest &r,
-                                     Tick, Tick) {
+    world.fleet.stack(0).device.traceComplete = [&](Channel &c,
+                                                    const GpuRequest &r,
+                                                    Tick, Tick) {
         if (r.ref <= last_completed[c.id()])
             ordered = false;
         last_completed[c.id()] = r.ref;
@@ -100,7 +102,7 @@ TEST_P(PropertySweep, ReferenceCountersNeverRegress)
     bool monotone = true;
     for (int step = 0; step < 200; ++step) {
         world.runFor(msec(5));
-        for (Channel *c : world.kernel.activeChannels()) {
+        for (Channel *c : world.fleet.stack(0).kernel.activeChannels()) {
             const std::uint64_t cur = c->completedRef();
             if (cur < seen[c->id()])
                 monotone = false;
@@ -125,7 +127,7 @@ TEST_P(PropertySweep, EveryAwaitedSubmissionEventuallyCompletes)
     // a few engagement cycles.
     world.runFor(msec(200));
     int lagging = 0;
-    for (Channel *c : world.kernel.activeChannels()) {
+    for (Channel *c : world.fleet.stack(0).kernel.activeChannels()) {
         const std::uint64_t submitted = c->lastSubmittedRef();
         const std::uint64_t done = c->completedRef();
         // At most one round's worth of requests may be in flight.
@@ -163,7 +165,7 @@ TEST_P(PropertySweep, SeedChangesResultsButNotInvariants)
 
     // Different seeds shuffle jitter; totals stay in the same regime.
     EXPECT_NE(a.deviceBusy, b.deviceBusy);
-    EXPECT_NEAR(toSec(a.deviceBusy), toSec(b.deviceBusy), 0.1);
+    EXPECT_NEAR(toSec(a.deviceBusy.at(0)), toSec(b.deviceBusy.at(0)), 0.1);
 }
 
 INSTANTIATE_TEST_SUITE_P(

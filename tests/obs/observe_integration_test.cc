@@ -5,7 +5,8 @@
  * DFQ fleet must yield a Chrome timeline with engage/disengage spans
  * on every device track, session flow events spanning a migration,
  * and counter tracks for queue depth and virtual-time lag — and
- * switching tracing on must not change the simulation's results.
+ * switching tracing on must not change the simulation's results, there
+ * or in a closed multi-device run.
  */
 
 #include <gtest/gtest.h>
@@ -200,6 +201,90 @@ TEST(ObserveIntegration, TracingDoesNotPerturbSimulationResults)
         EXPECT_EQ(a.sessions[i].departed, b.sessions[i].departed);
         EXPECT_EQ(a.sessions[i].requests, b.sessions[i].requests);
         EXPECT_EQ(a.sessions[i].migrations, b.sessions[i].migrations);
+    }
+}
+
+TEST(ObserveIntegration, TracingDoesNotPerturbClosedWorldResults)
+{
+    // A closed two-device DFQ run with the watchdog on, traced and
+    // sampled, against the same run unobserved.
+    ExperimentConfig cfg;
+    cfg.sched = SchedKind::DisengagedFq;
+    cfg.fleet.devices = 2;
+    cfg.fault.watchdog.enabled = true;
+    cfg.collectTraces = true;
+    cfg.warmup = msec(100);
+    cfg.measure = sec(1);
+    const std::vector<WorkloadSpec> mix = {
+        WorkloadSpec::app("DCT"),
+        WorkloadSpec::throttle(usec(430)),
+        WorkloadSpec::app("DCT"),
+        WorkloadSpec::throttle(usec(1700)),
+    };
+    const auto run = [&mix](const ExperimentConfig &c,
+                            std::unique_ptr<World> &world) {
+        world = std::make_unique<World>(c);
+        for (const WorkloadSpec &s : mix)
+            world->spawn(s);
+        world->start();
+        world->runFor(c.warmup);
+        world->beginMeasurement();
+        world->runFor(c.measure);
+        return world->results();
+    };
+
+    std::unique_ptr<World> plain, traced;
+    const RunResult a = run(cfg, plain);
+    ExperimentConfig traced_cfg = cfg;
+    traced_cfg.observe.categories = allTraceCategories;
+    traced_cfg.observe.bufferCapacity = std::size_t(1) << 14; // wraps
+    traced_cfg.observe.samplePeriod = msec(5);
+    const RunResult b = run(traced_cfg, traced);
+
+    EXPECT_EQ(plain->observer, nullptr);
+    ASSERT_NE(traced->observer, nullptr);
+    EXPECT_GT(traced->observer->recorder().written(), 0u);
+
+    // Every per-device probe was sampled on the cadence.
+    std::set<std::string> sampled;
+    for (const MetricSeries &s : traced->observer->metrics().series()) {
+        if (!s.samples.empty())
+            sampled.insert(s.name);
+    }
+    for (const char *name :
+         {"eq.executed", "dev0.queue_depth", "dev1.queue_depth",
+          "dev0.norm_vtime_ms", "dev1.norm_vtime_ms",
+          "fleet.vtime_lag_ms"})
+        EXPECT_EQ(sampled.count(name), 1u) << name;
+
+    // Identical simulation outcomes: tracing only observes.
+    EXPECT_GT(a.requests, 0u);
+    EXPECT_EQ(a.elapsed, b.elapsed);
+    EXPECT_EQ(a.deviceBusy, b.deviceBusy);
+    EXPECT_EQ(a.requests, b.requests);
+    EXPECT_EQ(a.switchOverhead, b.switchOverhead);
+    EXPECT_EQ(a.kills, b.kills);
+    EXPECT_EQ(a.throughputRps, b.throughputRps);
+    EXPECT_EQ(a.fairness.taskFairness, b.fairness.taskFairness);
+    EXPECT_EQ(a.fairness.deviceBalance, b.fairness.deviceBalance);
+    EXPECT_EQ(a.fairness.vtimeSpreadMs, b.fairness.vtimeSpreadMs);
+    EXPECT_EQ(a.audit.checks, b.audit.checks);
+    EXPECT_EQ(a.audit.violations, 0u);
+    EXPECT_EQ(b.audit.violations, 0u);
+    ASSERT_EQ(a.tasks.size(), b.tasks.size());
+    for (std::size_t i = 0; i < a.tasks.size(); ++i) {
+        EXPECT_EQ(a.tasks[i].label, b.tasks[i].label);
+        EXPECT_EQ(a.tasks[i].device, b.tasks[i].device);
+        EXPECT_EQ(a.tasks[i].pid, b.tasks[i].pid);
+        EXPECT_EQ(a.tasks[i].meanRoundUs, b.tasks[i].meanRoundUs);
+        EXPECT_EQ(a.tasks[i].rounds, b.tasks[i].rounds);
+        EXPECT_EQ(a.tasks[i].gpuBusy, b.tasks[i].gpuBusy);
+        EXPECT_EQ(a.tasks[i].requests, b.tasks[i].requests);
+        EXPECT_EQ(a.tasks[i].killed, b.tasks[i].killed);
+        const int pid = a.tasks[i].pid;
+        const std::size_t dev = a.tasks[i].device;
+        EXPECT_EQ(plain->traceOf(dev).of(pid).submissions,
+                  traced->traceOf(dev).of(pid).submissions);
     }
 }
 

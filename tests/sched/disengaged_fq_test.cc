@@ -33,7 +33,8 @@ TEST(DisengagedFq, EpisodesCycleThroughPhases)
     world.runFor(msec(400));
 
     auto *dfq =
-        dynamic_cast<DisengagedFairQueueing *>(world.sched.get());
+        dynamic_cast<DisengagedFairQueueing *>(
+            world.fleet.stack(0).sched.get());
     ASSERT_NE(dfq, nullptr);
     // ~25ms free run + short episode: several episodes in 400ms.
     EXPECT_GE(dfq->episodes(), 8u);
@@ -49,7 +50,8 @@ TEST(DisengagedFq, StandaloneFreeRunIs25Ms)
     world.runFor(msec(400));
 
     auto *dfq =
-        dynamic_cast<DisengagedFairQueueing *>(world.sched.get());
+        dynamic_cast<DisengagedFairQueueing *>(
+            world.fleet.stack(0).sched.get());
     EXPECT_EQ(dfq->currentFreeRun(), msec(25));
 }
 
@@ -63,7 +65,8 @@ TEST(DisengagedFq, PairFreeRunIs50Ms)
     world.runFor(msec(400));
 
     auto *dfq =
-        dynamic_cast<DisengagedFairQueueing *>(world.sched.get());
+        dynamic_cast<DisengagedFairQueueing *>(
+            world.fleet.stack(0).sched.get());
     EXPECT_EQ(dfq->currentFreeRun(), msec(50));
 }
 
@@ -76,7 +79,8 @@ TEST(DisengagedFq, SamplingEstimatesRequestSize)
     world.runFor(msec(400));
 
     auto *dfq =
-        dynamic_cast<DisengagedFairQueueing *>(world.sched.get());
+        dynamic_cast<DisengagedFairQueueing *>(
+            world.fleet.stack(0).sched.get());
     EXPECT_NEAR(toUsec(dfq->estSizeOf(t.pid())), 100.0, 10.0);
 }
 
@@ -90,7 +94,8 @@ TEST(DisengagedFq, SamplingEstimatesDutyCycle)
     world.runFor(sec(1));
 
     auto *dfq =
-        dynamic_cast<DisengagedFairQueueing *>(world.sched.get());
+        dynamic_cast<DisengagedFairQueueing *>(
+            world.fleet.stack(0).sched.get());
     EXPECT_GT(dfq->dutyOf(busy.pid()), 0.85);
     EXPECT_LT(dfq->dutyOf(lazy.pid()), 0.5);
 }
@@ -103,7 +108,7 @@ TEST(DisengagedFq, MostSubmissionsAreDirect)
     world.start();
     world.runFor(sec(1));
 
-    Channel *c = world.kernel.activeChannels()[0];
+    Channel *c = world.fleet.stack(0).kernel.activeChannels()[0];
     // Faults only during sampling windows (~1/6 of the time at most).
     EXPECT_GT(c->doorbell().directWrites(),
               3 * c->doorbell().faults());
@@ -119,7 +124,8 @@ TEST(DisengagedFq, VirtualTimesEqualizeUnderContention)
     world.runFor(sec(3));
 
     auto *dfq =
-        dynamic_cast<DisengagedFairQueueing *>(world.sched.get());
+        dynamic_cast<DisengagedFairQueueing *>(
+            world.fleet.stack(0).sched.get());
     const double vt_s = toMsec(dfq->vtimeOf(small.pid()));
     const double vt_l = toMsec(dfq->vtimeOf(large.pid()));
 
@@ -143,7 +149,8 @@ TEST(DisengagedFq, AheadTaskGetsDeniedEventually)
     bool large_denied = false;
     bool small_denied = false;
     auto *dfq =
-        dynamic_cast<DisengagedFairQueueing *>(world.sched.get());
+        dynamic_cast<DisengagedFairQueueing *>(
+            world.fleet.stack(0).sched.get());
     for (int i = 0; i < 200; ++i) {
         world.runFor(msec(10));
         large_denied |= dfq->isDenied(large.pid());
@@ -201,7 +208,8 @@ TEST(DisengagedFq, SleeperDoesNotBankCredit)
     world.runFor(sec(1));
 
     auto *dfq =
-        dynamic_cast<DisengagedFairQueueing *>(world.sched.get());
+        dynamic_cast<DisengagedFairQueueing *>(
+            world.fleet.stack(0).sched.get());
     // Both contended from the start here; the invariant to check is
     // that nobody's virtual time sits below the system virtual time by
     // more than an interval (no banked credit).

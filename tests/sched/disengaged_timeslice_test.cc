@@ -32,10 +32,11 @@ TEST(DisengagedTimeslice, HolderRunsUnprotected)
     world.start();
     world.runFor(msec(10));
 
-    auto *dts = dynamic_cast<DisengagedTimeslice *>(world.sched.get());
+    auto *dts = dynamic_cast<DisengagedTimeslice *>(
+        world.fleet.stack(0).sched.get());
     ASSERT_NE(dts, nullptr);
     ASSERT_EQ(dts->holder(), &t);
-    for (Channel *c : world.kernel.activeChannels())
+    for (Channel *c : world.fleet.stack(0).kernel.activeChannels())
         EXPECT_TRUE(c->doorbell().present());
 }
 
@@ -48,14 +49,15 @@ TEST(DisengagedTimeslice, NonHolderStaysProtectedAndParks)
     world.start();
     world.runFor(msec(10));
 
-    auto *dts = dynamic_cast<DisengagedTimeslice *>(world.sched.get());
+    auto *dts = dynamic_cast<DisengagedTimeslice *>(
+        world.fleet.stack(0).sched.get());
     ASSERT_NE(dts, nullptr);
     const Task *holder = dts->holder();
     ASSERT_NE(holder, nullptr);
     Task &other = (holder == &a) ? b : a;
 
     // The non-holder blocked on its first submission.
-    EXPECT_TRUE(world.kernel.hasParked(other));
+    EXPECT_TRUE(world.fleet.stack(0).kernel.hasParked(other));
     for (Channel *c : other.channels())
         EXPECT_FALSE(c->doorbell().present());
 }
@@ -68,8 +70,8 @@ TEST(DisengagedTimeslice, MostSubmissionsAreDirect)
     world.start();
     world.runFor(sec(1));
 
-    ASSERT_EQ(world.kernel.activeChannels().size(), 1u);
-    Channel *c = world.kernel.activeChannels()[0];
+    ASSERT_EQ(world.fleet.stack(0).kernel.activeChannels().size(), 1u);
+    Channel *c = world.fleet.stack(0).kernel.activeChannels()[0];
     // Solo holder: virtually everything goes straight to the device;
     // only slice-edge drains intercept the odd submission.
     EXPECT_GT(c->doorbell().directWrites(),

@@ -31,7 +31,7 @@ TEST(EngagedFq, EverySubmissionFaults)
     world.start();
     world.runFor(msec(100));
 
-    Channel *c = world.kernel.activeChannels()[0];
+    Channel *c = world.fleet.stack(0).kernel.activeChannels()[0];
     EXPECT_EQ(c->doorbell().directWrites(), 0u);
     EXPECT_GT(c->doorbell().faults(), 100u);
 }
@@ -62,7 +62,7 @@ TEST(EngagedFq, SizeEstimateConverges)
     world.runFor(sec(1));
 
     auto *efq =
-        dynamic_cast<EngagedFairQueueing *>(world.sched.get());
+        dynamic_cast<EngagedFairQueueing *>(world.fleet.stack(0).sched.get());
     ASSERT_NE(efq, nullptr);
     // finish tags advance by ~estimate per request; estimate itself is
     // internal, but the system virtual time tracks real usage.

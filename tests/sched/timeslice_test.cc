@@ -31,8 +31,8 @@ TEST(Timeslice, EverySubmissionIsIntercepted)
     world.start();
     world.runFor(msec(100));
 
-    ASSERT_EQ(world.kernel.activeChannels().size(), 1u);
-    Channel *c = world.kernel.activeChannels()[0];
+    ASSERT_EQ(world.fleet.stack(0).kernel.activeChannels().size(), 1u);
+    Channel *c = world.fleet.stack(0).kernel.activeChannels()[0];
     EXPECT_FALSE(c->doorbell().present());
     EXPECT_GT(c->doorbell().faults(), 100u);
     EXPECT_EQ(c->doorbell().directWrites(), 0u);
@@ -46,7 +46,8 @@ TEST(Timeslice, SoloTaskHoldsTheToken)
     world.start();
     world.runFor(msec(100));
 
-    auto *ts = dynamic_cast<TimesliceScheduler *>(world.sched.get());
+    auto *ts = dynamic_cast<TimesliceScheduler *>(
+        world.fleet.stack(0).sched.get());
     ASSERT_NE(ts, nullptr);
     EXPECT_EQ(ts->holder(), &t);
 }
@@ -113,7 +114,8 @@ TEST(Timeslice, OveruseIsChargedAndTurnsAreSkipped)
     world.runFor(cfg.measure);
     RunResult r = world.results();
 
-    auto *ts = dynamic_cast<TimesliceScheduler *>(world.sched.get());
+    auto *ts = dynamic_cast<TimesliceScheduler *>(
+        world.fleet.stack(0).sched.get());
     ASSERT_NE(ts, nullptr);
     EXPECT_GT(ts->skips(), 5u);
 

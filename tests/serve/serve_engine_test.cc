@@ -45,48 +45,63 @@ throttleAt(const std::string &label, std::vector<Tick> times,
 
 TEST(ServeEngine, QueuesBeyondCapacityAndDrains)
 {
-    // One device, two slots, four arrivals: the third and fourth wait
-    // for departures, strictly FIFO.
-    ExperimentConfig cfg = serveConfig(1, 2);
-    cfg.measure = msec(400);
-    ServeRunner runner(cfg);
+    // One device, four arrivals: whatever does not fit the slots waits
+    // for departures, strictly FIFO. The slots are configured outright
+    // or derived from the Section 6.3 user bound (channel pool / per-task
+    // channel limit, never fewer than one).
+    struct Case
+    {
+        std::size_t slots, maxChannels, perTaskLimit, capacity;
+    };
+    for (const Case k : {Case{2, 96, 8, 2}, Case{0, 16, 8, 2},
+                         Case{0, 4, 8, 1}}) {
+        SCOPED_TRACE(testing::Message()
+                     << "slots " << k.slots << ", pool " << k.maxChannels
+                     << " / " << k.perTaskLimit);
+        ExperimentConfig cfg = serveConfig(1, k.slots);
+        cfg.device.maxChannels = k.maxChannels;
+        cfg.channelPolicy.perTaskLimit = k.perTaskLimit;
+        cfg.measure = msec(400);
+        ServeRunner runner(cfg);
 
-    const ServeRunResult r = runner.run(
-        {
-            throttleAt("a", {0}, msec(50)),
-            throttleAt("b", {usec(10)}, msec(50)),
-            throttleAt("c", {usec(20)}, msec(50)),
-            throttleAt("d", {usec(30)}, msec(50)),
-        },
-        /*with_slowdowns=*/false);
+        const ServeRunResult r = runner.run(
+            {
+                throttleAt("a", {0}, msec(50)),
+                throttleAt("b", {usec(10)}, msec(50)),
+                throttleAt("c", {usec(20)}, msec(50)),
+                throttleAt("d", {usec(30)}, msec(50)),
+            },
+            /*with_slowdowns=*/false);
 
-    EXPECT_EQ(r.arrivals, 4u);
-    EXPECT_EQ(r.departures, 4u);
-    EXPECT_EQ(r.kills, 0u);
-    EXPECT_EQ(r.queuedAtEnd, 0u);
-    EXPECT_EQ(r.capacity, 2u);
-    EXPECT_EQ(r.peakQueueDepth, 2u);
-    EXPECT_EQ(r.peakLiveSessions, 4u);
+        EXPECT_EQ(r.arrivals, 4u);
+        EXPECT_EQ(r.departures, 4u);
+        EXPECT_EQ(r.kills, 0u);
+        EXPECT_EQ(r.queuedAtEnd, 0u);
+        EXPECT_EQ(r.capacity, k.capacity);
+        EXPECT_EQ(r.peakQueueDepth, 4u - k.capacity);
+        EXPECT_EQ(r.peakLiveSessions, 4u);
 
-    const ServeSessionResult &a = r.byLabel("a#0");
-    const ServeSessionResult &c = r.byLabel("c#2");
-    const ServeSessionResult &d = r.byLabel("d#3");
-    // a and b admit immediately; c waits for a's departure, d for b's.
-    EXPECT_EQ(a.admitted, a.arrived);
-    EXPECT_GE(c.admitted, msec(50));
-    EXPECT_GE(d.admitted, msec(50));
-    EXPECT_GE(d.admitted, c.admitted);
-    // Everyone got device time and departed after its 50 ms lifetime.
-    for (const auto &s : r.sessions) {
-        EXPECT_TRUE(s.hasDeparted()) << s.label;
-        EXPECT_GT(s.busy, 0) << s.label;
-        EXPECT_GT(s.requests, 0u) << s.label;
-        EXPECT_NEAR(toMsec(s.departed - s.admitted), 50.0, 1.0);
+        const ServeSessionResult &a = r.byLabel("a#0");
+        const ServeSessionResult &c = r.byLabel("c#2");
+        const ServeSessionResult &d = r.byLabel("d#3");
+        // a admits immediately; c and d wait for departures.
+        EXPECT_EQ(a.admitted, a.arrived);
+        EXPECT_GE(c.admitted, msec(50));
+        EXPECT_GE(d.admitted, msec(50));
+        EXPECT_GE(d.admitted, c.admitted);
+        // Everyone got device time and departed after its 50 ms
+        // lifetime.
+        for (const auto &s : r.sessions) {
+            EXPECT_TRUE(s.hasDeparted()) << s.label;
+            EXPECT_GT(s.busy, 0) << s.label;
+            EXPECT_GT(s.requests, 0u) << s.label;
+            EXPECT_NEAR(toMsec(s.departed - s.admitted), 50.0, 1.0);
+        }
+        // Queueing-delay SLO covers the queued sessions.
+        EXPECT_EQ(r.slo.queueDelayMs.count, 4u);
+        EXPECT_GT(r.slo.queueDelayMs.max, 40.0);
+        EXPECT_EQ(r.slo.sojournMs.count, 4u);
     }
-    // Queueing-delay SLO covers the two queued sessions.
-    EXPECT_EQ(r.slo.queueDelayMs.count, 4u);
-    EXPECT_GT(r.slo.queueDelayMs.max, 40.0);
-    EXPECT_EQ(r.slo.sojournMs.count, 4u);
 }
 
 TEST(ServeEngine, UsageFullyAccountedAcrossDepartures)

@@ -98,7 +98,7 @@ TEST(ServeIntegration, OpenPoissonLoadOnHeterogeneousFleet)
     ExperimentConfig single_cfg;
     single_cfg.sched = SchedKind::DisengagedFq;
     single_cfg.measure = sec(2);
-    const FleetRunResult single = FleetRunner(single_cfg).run({
+    const RunResult single = ExperimentRunner(single_cfg).run({
         WorkloadSpec::throttle(usec(430)),
         WorkloadSpec::throttle(usec(430)),
     });

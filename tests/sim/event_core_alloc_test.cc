@@ -3,10 +3,10 @@
  * Proves the acceptance criterion that steady-state schedule/cancel/
  * step on the event queue performs zero heap allocations.
  *
- * The global operator new/delete pair below counts every allocation in
- * the test binary; the test warms the queue (pool and heap growth are
- * amortized start-up costs), then replays the identical workload and
- * requires the allocation counter not to move.
+ * The global operator new/delete replacements below count every
+ * allocation in the test binary; the test warms the queue (pool and
+ * heap growth are amortized start-up costs), then replays the
+ * identical workload and requires the allocation counter not to move.
  */
 
 #include <gtest/gtest.h>
@@ -39,10 +39,38 @@ operator new[](std::size_t size)
     return ::operator new(size);
 }
 
+// The nothrow forms must be replaced too: the library's defaults (and
+// a sanitizer's) would pair their own allocator with the free() below,
+// e.g. for std::stable_sort's temporary buffer.
+void *
+operator new(std::size_t size, const std::nothrow_t &) noexcept
+{
+    ++gAllocCount;
+    return std::malloc(size);
+}
+
+void *
+operator new[](std::size_t size, const std::nothrow_t &tag) noexcept
+{
+    return ::operator new(size, tag);
+}
+
 void operator delete(void *p) noexcept { std::free(p); }
 void operator delete(void *p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void *p) noexcept { std::free(p); }
 void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
+
+void
+operator delete(void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
 
 namespace neon
 {

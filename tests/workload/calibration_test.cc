@@ -43,7 +43,7 @@ TEST_P(CalibrationTest, SoloRoundTimeMatchesTable1)
     // the paper's value (within 10%; combined apps report a blended
     // figure, so only pure compute apps are checked).
     if (!profile.usesGraphics()) {
-        const auto &pt = world.trace.of(t.pid());
+        const auto &pt = world.traceOf(0).of(t.pid());
         EXPECT_NEAR(pt.serviceAccumUs.mean(), profile.paperReqUs,
                     profile.paperReqUs * 0.10)
             << profile.name << " request size off Table 1";

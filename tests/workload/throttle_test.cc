@@ -39,7 +39,7 @@ TEST(Throttle, SleepRatioProducesOffTime)
 {
     const RunResult r = runThrottle(usec(1700), 0.8, sec(2));
     // 20% duty: device busy should be ~20% of elapsed.
-    const double duty = toSec(r.deviceBusy) / toSec(r.elapsed);
+    const double duty = toSec(r.deviceBusy.at(0)) / toSec(r.elapsed);
     EXPECT_NEAR(duty, 0.2, 0.02);
     // Round = request + 4x request of sleep.
     EXPECT_NEAR(r.tasks[0].meanRoundUs, 5 * 1700.0, 200.0);
@@ -48,7 +48,7 @@ TEST(Throttle, SleepRatioProducesOffTime)
 TEST(Throttle, SaturatingKeepsDeviceBusy)
 {
     const RunResult r = runThrottle(usec(430), 0.0);
-    EXPECT_GT(toSec(r.deviceBusy) / toSec(r.elapsed), 0.97);
+    EXPECT_GT(toSec(r.deviceBusy.at(0)) / toSec(r.elapsed), 0.97);
 }
 
 TEST(Throttle, DeterministicAcrossRuns)
@@ -73,7 +73,7 @@ TEST(Throttle, JitterVariesRequestSizes)
     world.beginMeasurement();
     world.runFor(cfg.measure);
 
-    const auto &pt = world.trace.of(t.pid());
+    const auto &pt = world.traceOf(0).of(t.pid());
     EXPECT_GT(pt.serviceAccumUs.stddev(), 0.5);
     EXPECT_LT(pt.serviceAccumUs.stddev(), 5.0);
     EXPECT_NEAR(pt.serviceAccumUs.mean(), 100.0, 1.0);

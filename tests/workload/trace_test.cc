@@ -24,7 +24,7 @@ recordThrottle(Tick size, Tick duration)
 
     World world(cfg);
     TraceRecorder rec;
-    rec.attach(world.device);
+    rec.attach(world.fleet.stack(0).device);
     Task &t = world.spawn(WorkloadSpec::throttle(size));
     world.start();
     world.runFor(cfg.warmup + duration);
@@ -125,7 +125,7 @@ TEST(TraceReplay, EmptyTraceFinishesImmediately)
         }));
     world.start();
     world.runFor(msec(10));
-    EXPECT_TRUE(world.kernel.tasks().at(0)->done());
+    EXPECT_TRUE(world.fleet.stack(0).kernel.tasks().at(0)->done());
 }
 
 } // namespace
