@@ -79,9 +79,9 @@ FleetManager::emplaceTask(std::size_t device, const PlacementRequest &req)
     auto task =
         std::make_unique<Task>(stacks[device]->kernel, req.label);
     Task &ref = *task;
+    const int pid = ref.pid();
     placedIndex[&ref] = placed.size();
-    placed.push_back({std::move(task), req, device, /*live=*/true});
-    taskRefs.push_back(&ref);
+    placed.push_back({std::move(task), req, device, pid, /*live=*/true, {}});
     ++liveTasksPerDevice[device];
     liveDemandPerDevice[device] += req.demand;
     policy->noteTaskPlaced(req, device);
@@ -172,15 +172,15 @@ FleetManager::startTask(Task &t, Co body)
     stacks[deviceOf(t)]->kernel.startTask(t, std::move(body));
 }
 
-void
+IncarnationUsage
 FleetManager::retireTask(Task &t)
 {
     // Killed tasks were torn down (and their slot released) by the
-    // kill path; everything else — Running bodies and bodies that
-    // already co_returned while still holding channels — goes through
-    // the kernel's graceful teardown.
+    // kill path and keep their Task; everything else — Running bodies
+    // and bodies that already co_returned while still holding channels
+    // — goes through the kernel's graceful teardown.
     if (t.killed())
-        return;
+        return usageOf(t);
     Placed &entry = placedOf(t);
     NEON_TRACE(obs::TraceCategory::Fleet, obs::TraceKind::Instant,
                "fleet.retire",
@@ -189,27 +189,51 @@ FleetManager::retireTask(Task &t)
                liveTasksPerDevice[entry.device], 0);
     stacks[entry.device]->kernel.retireTask(t);
     releasePlacement(entry);
+
+    // Fold after the teardown: aborting an in-flight request charges
+    // its occupancy to this pid. Then nothing below the fleet holds
+    // the task any more.
+    const UsageMeter::Usage u =
+        stacks[entry.device]->meter.retire(entry.pid);
+    entry.retired = {u.busy, u.requests, t.roundTimes()};
+    placedIndex.erase(&t);
+    entry.task.reset();
+    return entry.retired;
 }
 
 Task &
-FleetManager::migrateTask(Task &t, std::size_t target)
+FleetManager::migrateTask(Task &t, std::size_t target,
+                          IncarnationUsage &retired)
 {
     if (target >= stacks.size())
         panic("fleet: migration target ", target, " of ", stacks.size());
-    Placed &entry = placedOf(t);
+    const Placed &entry = placedOf(t);
     if (entry.device == target)
         panic("fleet: migrating task ", t.name(), " onto its own device");
 
-    // Copy the request before retiring: retireTask may not invalidate
-    // `entry`, but emplaceTask below grows `placed` and can reallocate.
+    // Copy the request before retiring: emplaceTask below grows
+    // `placed` and can reallocate.
     const PlacementRequest req = entry.req;
     NEON_TRACE(obs::TraceCategory::Fleet, obs::TraceKind::Instant,
                "fleet.migrate",
                obs::TraceIds{static_cast<std::int16_t>(entry.device),
                              t.pid(), -1},
                entry.device, target);
-    retireTask(t);
+    retired = retireTask(t);
     return emplaceTask(target, req);
+}
+
+IncarnationUsage
+FleetManager::usageOf(const Task &t) const
+{
+    return liveUsage(placedOf(t));
+}
+
+IncarnationUsage
+FleetManager::liveUsage(const Placed &p) const
+{
+    const UsageMeter::Usage u = stacks[p.device]->meter.usageOf(p.pid);
+    return {u.busy, u.requests, p.task->roundTimes()};
 }
 
 void
@@ -242,12 +266,14 @@ FleetManager::failDevice(std::size_t i)
     if (onDeviceDown)
         onDeviceDown(i);
 
-    // Snapshot the victims: eviction handling may create replacement
-    // tasks, growing `placed` and invalidating iterators.
+    // Snapshot the victims: eviction handling retires them (changing
+    // the kernel's list) and may place replacement tasks. The kernel
+    // lists the device's tasks in registration order, which is
+    // placement order; killed ones are skipped below.
     std::vector<Task *> victims;
-    for (const Placed &p : placed) {
-        if (p.live && p.device == i)
-            victims.push_back(p.task.get());
+    for (Task *t : stacks[i]->kernel.tasks()) {
+        if (placedIndex.count(t))
+            victims.push_back(t);
     }
     for (Task *t : victims) {
         if (t->killed())
@@ -372,14 +398,15 @@ FleetManager::taskUsage() const
     std::vector<FleetTaskUsage> out;
     out.reserve(placed.size());
     for (const Placed &p : placed) {
-        const UsageMeter &m = stacks[p.device]->meter;
+        const IncarnationUsage inc = p.task ? liveUsage(p) : p.retired;
         FleetTaskUsage u;
         u.label = p.req.label;
         u.device = p.device;
-        u.pid = p.task->pid();
-        u.busy = m.busyOf(p.task->pid());
-        u.requests = m.requestsOf(p.task->pid());
-        u.killed = p.task->killed();
+        u.pid = p.pid;
+        u.busy = inc.busy;
+        u.requests = inc.requests;
+        u.rounds = inc.rounds;
+        u.killed = p.task && p.task->killed();
         out.push_back(std::move(u));
     }
     return out;
@@ -408,8 +435,8 @@ std::uint64_t
 FleetManager::totalRequests() const
 {
     std::uint64_t sum = 0;
-    for (const Placed &p : placed)
-        sum += stacks[p.device]->meter.requestsOf(p.task->pid());
+    for (const auto &s : stacks)
+        sum += s->meter.totalRequests();
     return sum;
 }
 
@@ -420,6 +447,17 @@ FleetManager::totalKills() const
     for (const auto &s : stacks)
         sum += s->kernel.killCount();
     return sum;
+}
+
+std::vector<Task *>
+FleetManager::tasks() const
+{
+    std::vector<Task *> out;
+    for (const Placed &p : placed) {
+        if (p.task)
+            out.push_back(p.task.get());
+    }
+    return out;
 }
 
 } // namespace neon

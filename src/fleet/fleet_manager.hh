@@ -4,7 +4,9 @@
  *
  * The manager owns the stacks and the task principals, routes each new
  * task to a device via the configured PlacementPolicy, and aggregates
- * per-task and per-device usage across the fleet. Scheduling policy
+ * per-task and per-device usage across the fleet. A retiring task's
+ * usage is folded into its placement record and the Task is freed, so
+ * every layer below holds live tasks only. Scheduling policy
  * construction is delegated to a factory so any single-device policy
  * (Direct, Timeslice, DisengagedTimeslice, DisengagedFq, EngagedFq)
  * composes unchanged with the fleet layer.
@@ -28,6 +30,7 @@
 #include "fleet/placement.hh"
 #include "os/task.hh"
 #include "sim/coroutine.hh"
+#include "sim/stats.hh"
 
 namespace neon
 {
@@ -42,6 +45,14 @@ class ShardedEngine;
 using SchedulerFactory = std::function<std::unique_ptr<Scheduler>(
     KernelModule &, const UsageMeter &, std::size_t device_index)>;
 
+/** One incarnation's usage: ground-truth meter counters and rounds. */
+struct IncarnationUsage
+{
+    Tick busy = 0;              ///< ground-truth device time
+    std::uint64_t requests = 0; ///< completed device requests
+    Accum rounds;               ///< completed-round durations (us)
+};
+
 /** Aggregated view of one fleet task (metrics/benches). */
 struct FleetTaskUsage
 {
@@ -50,6 +61,7 @@ struct FleetTaskUsage
     int pid = 0;              ///< pid within the owning device's kernel
     Tick busy = 0;            ///< ground-truth device time
     std::uint64_t requests = 0;
+    Accum rounds;             ///< completed-round durations (us)
     bool killed = false;
 };
 
@@ -91,7 +103,8 @@ class FleetManager
 
     /**
      * Create a task and place it on a device chosen by the policy.
-     * The manager owns the task for the fleet's lifetime.
+     * The manager owns the task until it retires, or for the fleet's
+     * lifetime if it is killed.
      */
     Task &createTask(const PlacementRequest &req);
 
@@ -108,20 +121,28 @@ class FleetManager
     /**
      * Gracefully tear down a live task (open-system departure): close
      * its channels, end its process without a protection kill, free its
-     * placement slot, and notify the placement policy. The Task object
-     * (and its accumulated usage in the device meter) stays owned by
-     * the manager so departed work remains accounted.
+     * placement slot, and notify the placement policy. Its meter usage
+     * and round statistics are then folded into the placement record
+     * (taskUsage() keeps reporting them) and the Task is destroyed:
+     * @p t dangles once this returns. Returns the folded usage. A
+     * killed task is left as it is (the kill path already tore it
+     * down); the call just reports its usage.
      */
-    void retireTask(Task &t);
+    IncarnationUsage retireTask(Task &t);
 
     /**
      * Migrate a task to @p target: retire the incarnation on its
-     * current device and create a fresh Task (same placement request)
-     * on the target. Returns the new incarnation; the caller restarts
-     * the workload body on it. Models checkpoint/restart migration —
-     * in-flight requests on the old device are aborted.
+     * current device (folding its usage into @p retired, as
+     * retireTask does) and create a fresh Task (same placement
+     * request) on the target. Returns the new incarnation; the caller
+     * restarts the workload body on it. Models checkpoint/restart
+     * migration — in-flight requests on the old device are aborted.
      */
-    Task &migrateTask(Task &t, std::size_t target);
+    Task &migrateTask(Task &t, std::size_t target,
+                      IncarnationUsage &retired);
+
+    /** A placed, not yet retired task's usage so far. */
+    IncarnationUsage usageOf(const Task &t) const;
 
     /** Start every device's kernel (polling + policy timers). */
     void start();
@@ -137,8 +158,9 @@ class FleetManager
      * Take device @p i down (fault injection): force its device model
      * Down (losing in-flight work), notify onDeviceDown (the serve
      * layer shrinks admission capacity before the evictions land), and
-     * drain every live task through onTaskEvicted — or plain
-     * retirement when no eviction handler is installed.
+     * drain every live task — taken from the device's kernel, in
+     * placement order — through onTaskEvicted, or plain retirement
+     * when no eviction handler is installed.
      */
     void failDevice(std::size_t i);
 
@@ -193,7 +215,10 @@ class FleetManager
     /** Snapshot of per-device load, ordered by device index. */
     std::vector<DeviceLoadView> loadViews() const;
 
-    /** Per-task usage aggregated across all devices, placement order. */
+    /**
+     * Per-task usage aggregated across all devices: one entry per
+     * placement, in placement order, retired incarnations included.
+     */
     std::vector<FleetTaskUsage> taskUsage() const;
 
     /** Per-device busy time, ordered by device index. */
@@ -202,23 +227,28 @@ class FleetManager
     /** Total busy time across the fleet. */
     Tick totalBusy() const;
 
-    /** Total completed requests across the fleet's tasks. */
+    /** Total completed requests across the fleet's devices. */
     std::uint64_t totalRequests() const;
 
     /** Total protection kills across the fleet. */
     std::uint64_t totalKills() const;
 
-    const std::vector<Task *> &tasks() const { return taskRefs; }
+    /** Placed tasks not yet retired, in placement order. */
+    std::vector<Task *> tasks() const;
 
   private:
     struct Placed
     {
-        std::unique_ptr<Task> task;
+        std::unique_ptr<Task> task; ///< null once retired
         PlacementRequest req;
         std::size_t device;
+        int pid;
 
         /** Holds a placement slot (cleared on retire/migrate/kill). */
         bool live = true;
+
+        /** Final usage, folded in when the incarnation retired. */
+        IncarnationUsage retired;
     };
 
     void buildStacks(const FleetConfig &cfg,
@@ -232,6 +262,7 @@ class FleetManager
     Task &emplaceTask(std::size_t device, const PlacementRequest &req);
     Placed &placedOf(const Task &t);
     const Placed &placedOf(const Task &t) const;
+    IncarnationUsage liveUsage(const Placed &p) const;
 
     /**
      * Barrier half of the protection-kill path: release the slot and
@@ -251,13 +282,13 @@ class FleetManager
     std::vector<char> deviceUp_; ///< availability flags, device order
     std::unique_ptr<PlacementPolicy> policy;
     std::vector<Placed> placed;
-    std::vector<Task *> taskRefs;
 
     /**
      * Open-system churn makes `placed` grow for the run's lifetime
-     * (departed tasks stay owned so their usage stays accounted), so
-     * the hot paths must not scan it: lookups go through this index
-     * and load snapshots through the per-device live aggregates.
+     * (one folded record per departed incarnation), so the hot paths
+     * must not scan it: lookups go through this index of the tasks
+     * not yet retired (a freed task's address may be reused) and
+     * load snapshots through the per-device live aggregates.
      */
     std::map<const Task *, std::size_t> placedIndex;
     std::vector<std::size_t> liveTasksPerDevice;

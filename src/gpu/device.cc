@@ -183,8 +183,7 @@ GpuDevice::finish(Engine &e)
     const Tick service = end - e.serviceStart;
     const int task_id = c->context().taskId();
 
-    meter.recordBusy(task_id, service, req.cls);
-    meter.noteRequest(task_id);
+    meter.recordRequest(task_id, service, req.cls);
 
     const obs::TraceIds finish_ids{devIndex, task_id, -1};
     if (e.kind == EngineKind::Execute) {

@@ -220,7 +220,7 @@ World::spawn(const WorkloadSpec &spec)
 void
 World::start()
 {
-    const std::vector<Task *> &tasks = fleet.tasks();
+    const std::vector<Task *> tasks = fleet.tasks();
     for (std::size_t i = 0; i < tasks.size(); ++i) {
         Task &t = *tasks[i];
         fleet.startTask(t,
@@ -271,7 +271,6 @@ World::results()
     // Window-adjusted per-task usage feeds both the task results and
     // the fleet fairness indices.
     std::vector<FleetTaskUsage> usage = fleet.taskUsage();
-    const std::vector<Task *> &tasks = fleet.tasks();
     for (std::size_t i = 0; i < usage.size(); ++i) {
         FleetTaskUsage &u = usage[i];
         u.busy -= i < baselineBusy.size() ? baselineBusy[i] : 0;
@@ -282,8 +281,8 @@ World::results()
         tr.label = u.label;
         tr.device = u.device;
         tr.pid = u.pid;
-        tr.meanRoundUs = tasks[i]->roundTimes().mean();
-        tr.rounds = tasks[i]->roundTimes().count();
+        tr.meanRoundUs = u.rounds.mean();
+        tr.rounds = u.rounds.count();
         tr.gpuBusy = u.busy;
         tr.requests = u.requests;
         tr.killed = u.killed;

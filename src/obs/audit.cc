@@ -254,7 +254,9 @@ registerServeAudits(Auditor &a, ServeEngine &engine, FleetManager &fleet)
     // Exact usage reconciliation (the runtime form of the tests'
     // expectExactAccounting): every tick and request the meters charged
     // must be attributed to exactly one session, across migrations,
-    // evictions, failovers, and kills.
+    // evictions, failovers, and kills. The meter side is each device's
+    // live slots plus the totals its retired pids folded in, so a
+    // charge that lands after an incarnation's fold shows up here.
     a.addFinal("serve.usage_reconciliation",
                [&engine, &fleet](AuditLog &log, Tick now) {
                    Tick session_busy = 0;
@@ -269,8 +271,7 @@ registerServeAudits(Auditor &a, ServeEngine &engine, FleetManager &fleet)
                    for (std::size_t i = 0; i < fleet.deviceCount(); ++i) {
                        const UsageMeter &m = fleet.stack(i).meter;
                        meter_busy += m.totalBusy();
-                       for (const auto &kv : m.perTaskBusy())
-                           meter_reqs += m.requestsOf(kv.first);
+                       meter_reqs += m.totalRequests();
                    }
                    log.check(session_busy == meter_busy,
                              "serve.usage_reconciliation", now, meter_busy,

@@ -129,11 +129,12 @@ KernelModule::retireTask(Task &t)
 Task *
 KernelModule::findTask(int pid) const
 {
-    for (Task *t : taskList) {
-        if (t->pid() == pid)
-            return t;
-    }
-    return nullptr;
+    // Registration hands out ascending pids and unregistration keeps
+    // the order, so the list is sorted by pid.
+    const auto it = std::lower_bound(
+        taskList.begin(), taskList.end(), pid,
+        [](const Task *t, int p) { return t->pid() < p; });
+    return it != taskList.end() && (*it)->pid() == pid ? *it : nullptr;
 }
 
 std::vector<Task *>
@@ -212,11 +213,15 @@ KernelModule::openChannel(Task &t, RequestClass cls, GpuContext *ctx)
                    static_cast<int>(result), 0);
     }
 
-    // Deliver the outcome after the syscall+mmap cost.
+    // Deliver the outcome after the syscall+mmap cost. The task may
+    // retire (and be freed) meanwhile, so look it up again by pid.
     const Tick when = cost.syscallEntry + cost.channelOpen;
-    Task *tp = &t;
+    const int pid = t.pid();
     const int cid = c ? c->id() : -1;
-    eq.scheduleIn(when, [this, tp, cid, result] {
+    eq.scheduleIn(when, [this, pid, cid, result] {
+        Task *tp = findTask(pid);
+        if (!tp)
+            return;
         tp->openResultChannel = cid >= 0 ? findChannel(cid) : nullptr;
         tp->openResult = result;
         tp->resumeAt(0);
@@ -282,7 +287,7 @@ KernelModule::submitDoorbell(Task &t, Channel &c, GpuRequest req)
         // raw-pointer + POD capture must stay inside the event
         // callback's inline storage.
         auto deliver = [this, tp, cid, req] {
-            finishDoorbell(*tp, cid, req);
+            finishDoorbell(tp, cid, req);
         };
         static_assert(EventCallback::fitsInline<decltype(deliver)>);
         eq.scheduleIn(cost.directDoorbellWrite, std::move(deliver));
@@ -305,7 +310,7 @@ KernelModule::submitDoorbell(Task &t, Channel &c, GpuRequest req)
         const int cid = c.id();
         Task *tp = &t;
         auto deliver = [this, tp, cid, req] {
-            finishDoorbell(*tp, cid, req);
+            finishDoorbell(tp, cid, req);
         };
         static_assert(EventCallback::fitsInline<decltype(deliver)>);
         eq.scheduleIn(cost_now, std::move(deliver));
@@ -345,7 +350,7 @@ KernelModule::releaseParked(Task &t)
     const Tick when = cost.faultPath(c->ring().size()) + cost.parkedRelease;
     Task *tp = &t;
     auto deliver = [this, tp, cid = ps.channelId, req = ps.req] {
-        finishDoorbell(*tp, cid, req);
+        finishDoorbell(tp, cid, req);
     };
     static_assert(EventCallback::fitsInline<decltype(deliver)>);
     eq.scheduleIn(when, std::move(deliver));
@@ -369,14 +374,16 @@ KernelModule::currentlyRunningTask() const
 }
 
 void
-KernelModule::finishDoorbell(Task &t, int channel_id, GpuRequest req)
+KernelModule::finishDoorbell(Task *t, int channel_id, GpuRequest req)
 {
+    // Check the channel before touching the task: a retired task may
+    // already be freed, but it took its channels with it.
     Channel *c = findChannel(channel_id);
-    if (!c || !t.alive())
+    if (!c || !t->alive())
         return; // torn down (e.g., task killed) while in flight
 
     dev.submit(*c, req);
-    t.resumeAt(0);
+    t->resumeAt(0);
 }
 
 } // namespace neon

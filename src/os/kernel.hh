@@ -99,9 +99,15 @@ class KernelModule
      */
     void retireTask(Task &t);
 
+    /**
+     * Registered tasks in registration (ascending-pid) order. A task
+     * leaves the list when it is destroyed, and a fleet destroys a
+     * task when it retires, so under a fleet the list never holds a
+     * retired incarnation.
+     */
     const std::vector<Task *> &tasks() const { return taskList; }
 
-    /** Look up a live task by pid; nullptr if gone. */
+    /** Look up a registered task by pid; nullptr if gone. O(log n). */
     Task *findTask(int pid) const;
 
     /** Tasks that still own at least one active channel. */
@@ -217,7 +223,7 @@ class KernelModule
         GpuRequest req;
     };
 
-    void finishDoorbell(Task &t, int channel_id, GpuRequest req);
+    void finishDoorbell(Task *t, int channel_id, GpuRequest req);
 
     EventQueue &eq;
     GpuDevice &dev;

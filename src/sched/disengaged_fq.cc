@@ -82,6 +82,7 @@ void
 DisengagedFairQueueing::onTaskExited(Task &t)
 {
     taskStates.erase(t.pid());
+    vendorBusySeen.erase(t.pid());
     std::erase(samplingQueue, t.pid());
     if (samplingPid == t.pid())
         endSample();
@@ -167,7 +168,7 @@ DisengagedFairQueueing::onPoll(Tick now)
 void
 DisengagedFairQueueing::pollDeltas()
 {
-    std::vector<int> advanced;
+    advanced.clear();
     for (Channel *c : kernel.activeChannels()) {
         const std::uint64_t cur = kernel.readCompletedRef(*c);
         auto it = lastSeenRef.find(c->id());
@@ -438,7 +439,12 @@ DisengagedFairQueueing::endSample()
     }
 
     Task *t = kernel.findTask(samplingPid);
-    TaskState &ts = stateOf(samplingPid);
+    // A task that exited mid-sample has no state left: close its span
+    // over a blank one rather than recreating its entry, so per-pid
+    // state stays bounded by the live tasks.
+    TaskState exited;
+    const auto it = taskStates.find(samplingPid);
+    TaskState &ts = it != taskStates.end() ? it->second : exited;
     if (t) {
         for (Channel *c : t->channels())
             c->kernelCompletionHook = nullptr;

@@ -125,6 +125,9 @@ class DisengagedFairQueueing : public Scheduler, public VirtualTimeTap
     void setVendorCounters(const UsageMeter *m) { vendorCounters = m; }
     std::uint64_t episodes() const { return nEpisodes; }
 
+    /** Pids with per-task state: live tasks only (erased on exit). */
+    std::size_t trackedTasks() const { return taskStates.size(); }
+
   private:
     struct TaskState
     {
@@ -172,6 +175,9 @@ class DisengagedFairQueueing : public Scheduler, public VirtualTimeTap
 
     std::map<int, TaskState> taskStates;      // by pid
     std::map<int, std::uint64_t> lastSeenRef; // by channel id
+
+    /** Pids whose counters moved in this poll; reused across polls. */
+    std::vector<int> advanced;
 
     Tick sysVtime = 0;
     Tick freeRunLen = 0;

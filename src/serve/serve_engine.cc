@@ -10,6 +10,25 @@
 namespace neon
 {
 
+namespace
+{
+
+/**
+ * Add one incarnation's usage to its session. Incarnations get fresh
+ * pids, so the meter's per-pid counters are exactly that incarnation's
+ * usage — no baseline arithmetic.
+ */
+void
+foldIncarnation(SessionRecord &s, const IncarnationUsage &u)
+{
+    s.busy += u.busy;
+    s.requests += u.requests;
+    s.roundUsSum += u.rounds.mean() * static_cast<double>(u.rounds.count());
+    s.rounds += u.rounds.count();
+}
+
+} // namespace
+
 ServeEngine::ServeEngine(EventQueue &eq, FleetManager &fleet,
                          const ServeConfig &cfg,
                          std::vector<ServeClass> classes,
@@ -45,10 +64,10 @@ ServeEngine::ServeEngine(EventQueue &eq, FleetManager &fleet,
     // Protection kills end a session from below the serve layer;
     // finish the lifecycle bookkeeping and free the admission slot.
     fleet.onTaskKilled = [this](Task &t) {
-        auto it = byTask.find(&t);
-        if (it == byTask.end())
+        const SessionRecord *s = placedSessionOf(t);
+        if (!s)
             return;
-        const std::uint64_t sid = it->second;
+        const std::uint64_t sid = s->id;
         // Minimal work here: this hook runs inside the kill path, so
         // releasing the slot (which may place and start a queued
         // session) is deferred to a fresh event.
@@ -197,7 +216,7 @@ ServeEngine::admitSession(std::uint64_t sid)
     s.task = t;
     s.device = fleet.deviceOf(*t);
     s.devices.push_back(s.device);
-    byTask[t] = sid;
+    trackPlaced(s);
 
     const obs::TraceIds admit_ids{static_cast<std::int16_t>(s.device),
                                   t->pid(),
@@ -281,11 +300,10 @@ ServeEngine::onDeparture(std::uint64_t sid)
         NEON_TRACE(obs::TraceCategory::Serve, obs::TraceKind::AsyncEnd,
                    "session", depart_ids, 0, 0);
     }
-    byTask.erase(s.task);
-    // Retire first: aborting an in-flight request charges its device
-    // occupancy to this pid, and the snapshot must include it.
-    fleet.retireTask(*s.task);
-    endIncarnation(s);
+    untrackPlaced(s);
+    // The fleet folds the usage after the teardown, so an aborted
+    // in-flight request's occupancy is included.
+    foldIncarnation(s, fleet.retireTask(*s.task));
     s.task = nullptr;
     s.departureEv = invalidEventId;
     s.departAt = -1;
@@ -321,8 +339,11 @@ ServeEngine::finalizeKill(std::uint64_t sid)
         NEON_TRACE(obs::TraceCategory::Serve, obs::TraceKind::AsyncEnd,
                    "session", kill_ids, 0, 0);
     }
-    endIncarnation(s);
-    byTask.erase(s.task);
+    // Killed tasks keep their Task, so the usage is read in place.
+    if (s.task) {
+        untrackPlaced(s);
+        foldIncarnation(s, fleet.usageOf(*s.task));
+    }
     eq.cancel(s.departureEv);
     s.departureEv = invalidEventId;
     eq.cancel(s.retryEv);
@@ -344,22 +365,21 @@ ServeEngine::finalizeKill(std::uint64_t sid)
 void
 ServeEngine::onEviction(Task &t)
 {
-    auto it = byTask.find(&t);
-    if (it == byTask.end()) {
+    SessionRecord *sp = placedSessionOf(t);
+    if (!sp) {
         // Not a live serve incarnation (already departing); let the
         // fleet's default disposition tear it down.
         fleet.retireTask(t);
         return;
     }
-    const std::uint64_t sid = it->second;
-    SessionRecord &s = *sessions[sid];
-    byTask.erase(it);
+    SessionRecord &s = *sp;
+    const std::uint64_t sid = s.id;
+    untrackPlaced(s);
 
     // Retire the incarnation on the dead device (its in-flight request
-    // was already lost and charged by the device's forceDown), snapshot
+    // was already lost and charged by the device's forceDown), fold
     // its usage, then freeze the departure clock.
-    fleet.retireTask(t);
-    endIncarnation(s);
+    foldIncarnation(s, fleet.retireTask(t));
     s.task = nullptr;
     ++s.evictions;
     ++nEvicted;
@@ -550,12 +570,11 @@ ServeEngine::tryPreempt(int arrivingRank)
 
     // Victim: the lowest-priority live incarnation, youngest first
     // (least sunk service wasted), strictly below the arriving rank.
-    // byTask is keyed by task address, so every tie must break on
-    // session state only — never map order (heap layout varies).
+    // Every tie breaks on session state only, never on table order.
     SessionRecord *victim = nullptr;
-    for (const auto &kv : byTask) {
-        SessionRecord &s = *sessions[kv.second];
-        if (s.done || !s.task || !s.task->alive())
+    for (const std::uint64_t sid : placed) {
+        SessionRecord &s = *sessions[sid];
+        if (s.done || !s.task->alive())
             continue;
         const int rank = qosRankOf(s.cls);
         if (rank <= arrivingRank)
@@ -581,9 +600,8 @@ ServeEngine::preemptSession(SessionRecord &s)
     // incarnation (folding its exact meter usage), freeze the
     // departure clock — except the requeue is a plain backoff, not a
     // retry: preemption never burns the fault-retry budget.
-    byTask.erase(s.task);
-    fleet.retireTask(*s.task);
-    endIncarnation(s);
+    untrackPlaced(s);
+    foldIncarnation(s, fleet.retireTask(*s.task));
     s.task = nullptr;
     ++s.preemptions;
     ++nPreemptions;
@@ -663,25 +681,30 @@ ServeEngine::freeSlot(const std::string &tenant)
 }
 
 void
-ServeEngine::foldIncarnationUsage(SessionRecord &s) const
+ServeEngine::trackPlaced(SessionRecord &s)
 {
-    // Incarnations get fresh pids, so the meter's per-pid counters are
-    // exactly this incarnation's usage — no baseline arithmetic.
-    const UsageMeter &m = fleet.stack(s.device).meter;
-    const int pid = s.task->pid();
-    s.busy += m.busyOf(pid);
-    s.requests += m.requestsOf(pid);
-    const Accum &rounds = s.task->roundTimes();
-    s.roundUsSum += rounds.mean() * static_cast<double>(rounds.count());
-    s.rounds += rounds.count();
+    s.placedSlot = placed.size();
+    placed.push_back(s.id);
 }
 
 void
-ServeEngine::endIncarnation(SessionRecord &s)
+ServeEngine::untrackPlaced(SessionRecord &s)
 {
-    if (!s.task)
-        return;
-    foldIncarnationUsage(s);
+    const std::uint64_t moved = placed.back();
+    placed[s.placedSlot] = moved;
+    sessions[moved]->placedSlot = s.placedSlot;
+    placed.pop_back();
+}
+
+SessionRecord *
+ServeEngine::placedSessionOf(const Task &t)
+{
+    // O(open incarnations): only kills and device failures ask.
+    for (const std::uint64_t sid : placed) {
+        if (sessions[sid]->task == &t)
+            return sessions[sid].get();
+    }
+    return nullptr;
 }
 
 void
@@ -728,13 +751,11 @@ ServeEngine::tryMigrate()
         fleet.stack(plan.from).sched.get());
     SessionRecord *victim = nullptr;
     Tick victim_v = 0;
-    // byTask holds exactly the live incarnations, so this scan is
-    // O(placed sessions), not O(sessions ever created). byTask is
-    // keyed by task address, so vtime ties must break on the session
-    // id — address order varies with heap layout and would make the
-    // pick depend on unrelated allocations (e.g. tracing being on).
-    for (const auto &kv : byTask) {
-        SessionRecord &s = *sessions[kv.second];
+    // The placed table holds exactly the open incarnations, so this
+    // scan is O(placed sessions), not O(sessions ever created). Its
+    // order is arbitrary, so vtime ties break on the session id.
+    for (const std::uint64_t sid : placed) {
+        SessionRecord &s = *sessions[sid];
         if (s.done || s.device != plan.from || !s.task->alive())
             continue;
         const Tick v = tap ? tap->tapTaskVtime(s.task->pid()) : 0;
@@ -747,17 +768,17 @@ ServeEngine::tryMigrate()
     if (!victim)
         return;
 
-    byTask.erase(victim->task);
-    // Migrate first (retires the old incarnation, charging any aborted
-    // in-flight occupancy to its pid), then snapshot it.
-    Task &nt = fleet.migrateTask(*victim->task, plan.to);
-    endIncarnation(*victim);
+    // The fleet retires the old incarnation (charging any aborted
+    // in-flight occupancy to its pid) and folds its usage. The
+    // session keeps its slot in the placed table.
+    IncarnationUsage folded;
+    Task &nt = fleet.migrateTask(*victim->task, plan.to, folded);
+    foldIncarnation(*victim, folded);
     victim->task = &nt;
     victim->device = plan.to;
     victim->devices.push_back(plan.to);
     ++victim->migrations;
     ++nMigrations;
-    byTask[&nt] = victim->id;
 
     const obs::TraceIds mig_ids{static_cast<std::int16_t>(plan.to),
                                 nt.pid(),
@@ -806,11 +827,11 @@ ServeEngine::visitSessions(
         std::uint64_t reqs = sp->requests;
         if (sp->task) {
             // Open incarnation: fresh pid, so the meter's per-pid
-            // counters are exactly its usage (see foldIncarnationUsage).
-            const UsageMeter &m = fleet.stack(sp->device).meter;
-            const int pid = sp->task->pid();
-            busy += m.busyOf(pid);
-            reqs += m.requestsOf(pid);
+            // counters are exactly its usage.
+            const UsageMeter::Usage u =
+                fleet.stack(sp->device).meter.usageOf(sp->task->pid());
+            busy += u.busy;
+            reqs += u.requests;
         }
         fn(*sp, busy, reqs);
     }
@@ -824,7 +845,7 @@ ServeEngine::sessionResults() const
     for (const auto &sp : sessions) {
         SessionRecord s = *sp; // copy
         if (s.task)
-            foldIncarnationUsage(s); // open incarnation, not closed
+            foldIncarnation(s, fleet.usageOf(*s.task)); // still open
         out.push_back(std::move(s));
     }
     return out;

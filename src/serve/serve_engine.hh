@@ -32,7 +32,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -94,8 +93,8 @@ struct SessionRecord
     int retries = 0;     ///< backoff attempts consumed
     int preemptions = 0; ///< times an interactive admit took its slot
 
-    // Accumulated across completed incarnations (endIncarnation);
-    // sessionResults() adds the open incarnation on top.
+    // Accumulated across completed incarnations (folded as each one
+    // ends); sessionResults() adds the open incarnation on top.
     Tick busy = 0;               ///< ground-truth device time
     std::uint64_t requests = 0;  ///< completed device requests
     double roundUsSum = 0.0;     ///< sum of round durations (us)
@@ -106,6 +105,7 @@ struct SessionRecord
     // Open-incarnation state (engine internals).
     Task *task = nullptr;
     std::size_t device = 0;
+    std::size_t placedSlot = 0; ///< index in the engine's placed table
     int incarnation = 0;
     EventId departureEv = invalidEventId;
     EventId retryEv = invalidEventId;
@@ -241,8 +241,9 @@ class ServeEngine
     Tick queueBudgetOf(std::size_t cls) const;
     int qosRankOf(std::size_t cls) const;
     void freeSlot(const std::string &tenant);
-    void foldIncarnationUsage(SessionRecord &s) const;
-    void endIncarnation(SessionRecord &s);
+    void trackPlaced(SessionRecord &s);
+    void untrackPlaced(SessionRecord &s);
+    SessionRecord *placedSessionOf(const Task &t);
     void startBody(SessionRecord &s);
     void onClockTick();
     void tryMigrate();
@@ -265,7 +266,14 @@ class ServeEngine
     std::vector<ArrivalProcess> arrivalProcs; ///< parallel to classes
 
     std::vector<std::unique_ptr<SessionRecord>> sessions; ///< by id
-    std::map<const Task *, std::uint64_t> byTask;
+
+    /**
+     * Ids of the sessions with an open incarnation (task != nullptr),
+     * unordered: each session keeps its index in placedSlot, and
+     * removal is swap-and-pop. Scans over it must break every tie on
+     * session state, never on table order.
+     */
+    std::vector<std::uint64_t> placed;
     std::vector<std::function<void(const SessionEvent &)>> listeners;
 
     std::uint64_t nArrivals = 0;

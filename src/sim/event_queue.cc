@@ -46,12 +46,19 @@ EventQueue::compact()
     const auto stale = [this](const Entry &e) { return !isLive(e); };
     heap.erase(std::remove_if(heap.begin(), heap.end(), stale),
                heap.end());
-    // remove_if preserves relative order, so the batch stays sorted.
+    // remove_if preserves relative order, so the batch stays sorted
+    // and the lane stays FIFO (its consumed prefix goes too).
     batch.erase(std::remove_if(batch.begin(), batch.end(), stale),
                 batch.end());
+    lane.erase(std::remove_if(lane.begin() + static_cast<std::ptrdiff_t>(
+                                                 laneHead),
+                              lane.end(), stale),
+               lane.end());
+    lane.erase(lane.begin(),
+               lane.begin() + static_cast<std::ptrdiff_t>(laneHead));
+    laneHead = 0;
     NEON_TRACE(obs::TraceCategory::SimCore, obs::TraceKind::Instant,
-               "eq.compact", obs::TraceIds{}, nStale,
-               heap.size() + batch.size());
+               "eq.compact", obs::TraceIds{}, nStale, queued());
     nStale = 0;
     ++nCompactions;
 

@@ -186,6 +186,42 @@ TEST(Audit, HealthyServeRunIsCleanAndReconcilesUsage)
     EXPECT_TRUE(r.audit.clean()) << r.audit.summary();
 }
 
+TEST(Audit, ReconciliationCatchesAChargeAfterTheFold)
+{
+    ExperimentConfig cfg;
+    cfg.sched = SchedKind::DisengagedFq;
+    cfg.fleet.devices = 4;
+    cfg.serve.slotsPerDevice = 2;
+    cfg.measure = sec(1);
+
+    WorkloadSpec w = WorkloadSpec::throttle(usec(430));
+    w.label = "open";
+    const std::vector<ServeWorkloadSpec> specs = {
+        {w, ArrivalSpec::poisson(60.0, msec(600)),
+         LifetimeSpec::fixed(msec(100))},
+    };
+
+    ServeWorld world(cfg, specs);
+    world.start();
+    world.runFor(cfg.measure);
+
+    // The first incarnation retired long ago: its usage was folded
+    // into its session and its meter slot freed. One more tick charged
+    // to its pid (as if a request's occupancy landed after the fold)
+    // belongs to no session, and the final reconciliation must say so.
+    const FleetTaskUsage first = world.fleet.taskUsage().front();
+    ASSERT_EQ(world.fleet.stack(first.device).kernel.findTask(first.pid),
+              nullptr);
+    world.fleet.stack(first.device)
+        .meter.recordBusy(first.pid, 1, RequestClass::Compute);
+
+    const ServeRunResult r = world.results();
+    EXPECT_EQ(r.audit.violations, 1u) << r.audit.summary();
+    ASSERT_EQ(r.audit.byCheck.size(), 1u) << r.audit.summary();
+    EXPECT_EQ(r.audit.byCheck[0].first, "serve.usage_reconciliation");
+    EXPECT_EQ(r.audit.byCheck[0].second, 1u);
+}
+
 TEST(Audit, DisabledAuditorReportsNoChecks)
 {
     ExperimentConfig cfg;

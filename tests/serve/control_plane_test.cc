@@ -228,8 +228,7 @@ TEST(ControlPlane, PreemptionFreesSlotForInteractive)
     for (std::size_t i = 0; i < world.fleet.deviceCount(); ++i) {
         const UsageMeter &m = world.fleet.stack(i).meter;
         meter_busy += m.totalBusy();
-        for (const auto &kv : m.perTaskBusy())
-            meter_reqs += m.requestsOf(kv.first);
+        meter_reqs += m.totalRequests();
     }
     EXPECT_EQ(session_busy, meter_busy);
     EXPECT_EQ(session_reqs, meter_reqs);

@@ -80,7 +80,10 @@ namespace
 /**
  * A mixed steady-state workload: periodic self-rescheduling ticks
  * (polling service shape), schedule-then-cancel deadlines (sampling /
- * timeslice shape), and plain one-shot events (request completions).
+ * timeslice shape), plain one-shot events (request completions), and
+ * zero-delay work on the same-tick lane: follow-ups a callback makes
+ * for its own tick (process resumes), chains of them, and prompts
+ * cancelled before they run (a re-prompted poll).
  */
 std::uint64_t
 runWorkload(EventQueue &eq, int rounds)
@@ -96,6 +99,9 @@ runWorkload(EventQueue &eq, int rounds)
         {
             eq.scheduleIn(10, [this] {
                 ++fires;
+                const EventId prompt = eq.scheduleIn(0, [] {});
+                eq.scheduleIn(0, [this] { eq.scheduleIn(0, [] {}); });
+                eq.cancel(prompt);
                 if (--remaining > 0)
                     arm();
             });
@@ -108,6 +114,8 @@ runWorkload(EventQueue &eq, int rounds)
     EventId deadline = invalidEventId;
     for (int i = 0; i < rounds; ++i) {
         eq.scheduleIn(5, [] {});
+        eq.cancel(eq.scheduleIn(0, [] {}));
+        eq.scheduleIn(0, [] {});
         if (deadline != invalidEventId)
             eq.cancel(deadline);
         deadline = eq.scheduleIn(100000, [] {});

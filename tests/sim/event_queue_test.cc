@@ -104,6 +104,7 @@ TEST(EventQueue, EventsMayRescheduleThemselves)
 
 TEST(EventQueue, ScheduleAtCurrentTickRunsAfterCurrentEvent)
 {
+    // ...and after every event already queued for that tick.
     EventQueue eq;
     std::vector<int> order;
     eq.schedule(10, [&] {
@@ -111,8 +112,9 @@ TEST(EventQueue, ScheduleAtCurrentTickRunsAfterCurrentEvent)
         eq.scheduleIn(0, [&] { order.push_back(2); });
         order.push_back(3);
     });
+    eq.schedule(10, [&] { order.push_back(4); });
     eq.drain();
-    EXPECT_EQ(order, (std::vector<int>{1, 3, 2}));
+    EXPECT_EQ(order, (std::vector<int>{1, 3, 4, 2}));
 }
 
 TEST(EventQueue, PendingAndExecutedCounts)
@@ -240,6 +242,25 @@ TEST(EventQueue, PendingAndEmptyConsistentAfterChurn)
     for (EventId id : keep)
         eq.cancel(id);
     EXPECT_TRUE(eq.empty());
+}
+
+TEST(EventQueue, CancelledSameTickEntriesCountAsQueued)
+{
+    // Same-tick events skip the heap, but their stale entries still
+    // count toward the queue size and the compaction trigger.
+    EventQueue eq;
+    std::vector<EventId> ids;
+    for (int i = 0; i < 10; ++i)
+        ids.push_back(eq.scheduleIn(0, [] {}));
+    EXPECT_EQ(eq.stats().heapEntries, 10u);
+    for (EventId id : ids)
+        eq.cancel(id);
+    EXPECT_EQ(eq.pending(), 0u);
+    EXPECT_EQ(eq.stats().stale, 10u);
+    EXPECT_EQ(eq.stats().heapEntries, 10u);
+    EXPECT_FALSE(eq.step());
+    EXPECT_EQ(eq.stats().heapEntries, 0u);
+    EXPECT_EQ(eq.stats().stale, 0u);
 }
 
 TEST(EventQueue, RunUntilSkipsStaleTopWithoutOvershooting)
