@@ -31,8 +31,10 @@ main()
 
         const auto &pt = world.traceOf(0).of(t.pid());
         std::string paper_req = Table::num(p.paperReqUs, 0);
-        if (p.paperReqUs2 > 0)
-            paper_req += "/" + Table::num(p.paperReqUs2, 0);
+        if (p.paperReqUs2 > 0) {
+            paper_req += "/";
+            paper_req += Table::num(p.paperReqUs2, 0);
+        }
 
         table.addRow({p.name, p.area,
                       Table::num(r.tasks[0].meanRoundUs, 0),

@@ -161,24 +161,8 @@ ServeWorld::results()
 
             const Tick end = out.hasDeparted() ? s.departed : eq.now();
             const Tick residency = end - s.admitted;
-            if (!s.killed && residency > 0) {
-                // Speed-normalized service rate: device time weighted
-                // by the speed of the device that delivered it. With
-                // migration an incarnation's device varies, so weight
-                // by the session's busy-weighted mean speed — here
-                // approximated by the last device's speed when the
-                // per-incarnation split is not retained.
-                double speed = 1.0;
-                if (!s.devices.empty()) {
-                    speed = fleet.stack(s.devices.back())
-                                .device.config()
-                                .speedFactor;
-                    if (speed <= 0.0)
-                        speed = 1.0;
-                }
-                rates.push_back(static_cast<double>(s.busy) * speed /
-                                static_cast<double>(residency));
-            }
+            if (!s.killed && residency > 0)
+                rates.push_back(engine.serviceRate(s, s.busy, residency));
         }
         if (out.hasDeparted()) {
             sojourn_ms.push_back(toMsec(s.departed - s.admitted));
@@ -265,17 +249,6 @@ ServeWorld::results()
     // Goodput against the configured SLO targets. The queue budget is
     // per class when set, so the bound an interactive session is
     // judged by is the one the shedder used at its front door.
-    const auto queueBudgetOf = [this](std::size_t cls) {
-        const Tick own = engine.workloadClasses()[cls].queueBudget;
-        return own > 0 ? own : cfg.serve.slo.queueTarget;
-    };
-    const auto meetsQueueSojourn = [&](const ServeSessionResult &s) {
-        if (cfg.serve.slo.sojournTarget > 0 &&
-            s.departed - s.admitted > cfg.serve.slo.sojournTarget)
-            return false;
-        const Tick qb = queueBudgetOf(s.cls);
-        return qb <= 0 || s.admitted - s.arrived <= qb;
-    };
     GoodputReport &gp = r.slo.goodput;
     gp.targeted = cfg.serve.slo.any();
     std::vector<GoodputReport> byClass(
@@ -285,7 +258,7 @@ ServeWorld::results()
             continue;
         ++gp.eligible;
         ++byClass[s.cls].eligible;
-        if (meetsQueueSojourn(s)) {
+        if (engine.meetsSlo(s.cls, s.arrived, s.admitted, s.departed)) {
             ++gp.met;
             ++byClass[s.cls].met;
         }
@@ -295,7 +268,7 @@ ServeWorld::results()
         : 1.0;
     for (std::size_t c = 0; c < byClass.size(); ++c) {
         GoodputReport &g = byClass[c];
-        g.targeted = gp.targeted || queueBudgetOf(c) > 0;
+        g.targeted = gp.targeted || engine.queueBudgetOf(c) > 0;
         g.fraction = g.eligible > 0
             ? static_cast<double>(g.met) / static_cast<double>(g.eligible)
             : 1.0;

@@ -305,29 +305,16 @@ Analyzer::onEvent(const SessionEvent &e)
         if (admittedAt[e.session] < 0)
             admittedAt[e.session] = e.when;
         break;
-    case SessionEvent::Kind::Depart: {
+    case SessionEvent::Kind::Depart:
         ++accum.departures;
-        const Tick starget = engine.config().slo.sojournTarget;
-        const std::vector<ServeClass> &classes = engine.workloadClasses();
-        const Tick own = e.cls < classes.size()
-            ? classes[e.cls].queueBudget : 0;
-        const Tick qtarget =
-            own > 0 ? own : engine.config().slo.queueTarget;
-        if (starget > 0 || qtarget > 0) {
+        if (engine.config().slo.sojournTarget > 0 ||
+            engine.queueBudgetOf(e.cls) > 0) {
             ++accum.goodputEligible;
-            const Tick admitted = admittedAt[e.session];
-            const Tick arrived = arrivedAt[e.session];
-            bool met = admitted >= 0;
-            if (met && starget > 0 && e.when - admitted > starget)
-                met = false;
-            if (met && qtarget > 0 &&
-                (arrived < 0 || admitted - arrived > qtarget))
-                met = false;
-            if (met)
+            if (engine.meetsSlo(e.cls, arrivedAt[e.session],
+                                admittedAt[e.session], e.when))
                 ++accum.goodputMet;
         }
         break;
-    }
     case SessionEvent::Kind::Kill:
         ++accum.kills;
         break;
@@ -388,15 +375,7 @@ Analyzer::closeWindow(Tick ws, Tick we)
             std::min(end, we) - std::max(s.admitted, ws);
         if (overlap <= 0)
             return;
-        double speed = 1.0;
-        if (!s.devices.empty()) {
-            speed =
-                fleet.stack(s.devices.back()).device.config().speedFactor;
-            if (speed <= 0.0)
-                speed = 1.0;
-        }
-        rates.push_back(static_cast<double>(busy - prev) * speed /
-                        static_cast<double>(overlap));
+        rates.push_back(engine.serviceRate(s, busy - prev, overlap));
     });
     w.fairness = jainIndex(rates);
 
@@ -507,54 +486,6 @@ Analyzer::writeOutputs() const
             fatal("cannot open timeline output '", cfg.timelineCsvPath, "'");
         os << timelineCsv();
     }
-    if (!cfg.timelineJsonPath.empty()) {
-        std::ofstream os(cfg.timelineJsonPath);
-        if (!os)
-            fatal("cannot open timeline output '", cfg.timelineJsonPath,
-                  "'");
-        os << "[\n";
-        for (std::size_t i = 0; i < windows.size(); ++i) {
-            const WindowStats &w = windows[i];
-            os << "  {\"start_ms\": " << fmtDouble(toMsec(w.start))
-               << ", \"end_ms\": " << fmtDouble(toMsec(w.end))
-               << ", \"arrivals\": " << w.arrivals
-               << ", \"departures\": " << w.departures
-               << ", \"kills\": " << w.kills << ", \"sheds\": " << w.sheds
-               << ", \"throttled\": " << w.throttled
-               << ", \"preempts\": " << w.preempts
-               << ", \"queue_depth\": " << w.queueDepth
-               << ", \"live_sessions\": " << w.liveSessions
-               << ", \"fairness\": " << fmtDouble(w.fairness)
-               << ", \"goodput\": " << fmtDouble(w.goodput)
-               << ", \"util\": [";
-            for (std::size_t d = 0; d < w.deviceUtil.size(); ++d)
-                os << (d ? ", " : "") << fmtDouble(w.deviceUtil[d]);
-            os << "], \"occupancy\": [";
-            for (std::size_t d = 0; d < w.occupancy.size(); ++d)
-                os << (d ? ", " : "") << w.occupancy[d];
-            os << "]}" << (i + 1 < windows.size() ? "," : "") << "\n";
-        }
-        os << "]\n";
-    }
-}
-
-std::string
-Analyzer::summary() const
-{
-    std::ostringstream os;
-    bool any = false;
-    if (cfg.phases) {
-        os << tracker.sessions().size() << " sessions phase-attributed";
-        any = true;
-    }
-    if (cfg.window > 0) {
-        if (any)
-            os << "; ";
-        os << windows.size() << " timeline windows of "
-           << toMsec(cfg.window) << "ms";
-        any = true;
-    }
-    return os.str();
 }
 
 // ----------------------------------------------------------------------

@@ -17,8 +17,8 @@
  * session service rates (the same statistic ServeRunResult reports for
  * the whole run — a single whole-run window reproduces it bit-exactly),
  * goodput against the ServeConfig SLO target, per-device utilization
- * and occupancy, and queue depth. Series export as CSV/JSON next to
- * the counter tracks and are as deterministic as the run itself.
+ * and occupancy, and queue depth. Series export as CSV next to the
+ * counter tracks and are as deterministic as the run itself.
  */
 
 #ifndef NEON_OBS_ANALYZE_HH
@@ -52,9 +52,6 @@ struct AnalyzeConfig
 
     /** Windowed timeline CSV output path (empty = don't write). */
     std::string timelineCsvPath;
-
-    /** Windowed timeline JSON output path (empty = don't write). */
-    std::string timelineJsonPath;
 
     bool enabled() const { return phases || window > 0; }
 };
@@ -240,11 +237,8 @@ class Analyzer
     /** Tail attribution with tenant/class labels from the engine. */
     PhaseReport phaseReport() const;
 
-    /** Write timelineCsvPath / timelineJsonPath if configured. */
+    /** Write timelineCsvPath if configured. */
     void writeOutputs() const;
-
-    /** One-line summary for run results. */
-    std::string summary() const;
 
     /** Render the timeline as CSV (deterministic; tests compare runs). */
     std::string timelineCsv() const;

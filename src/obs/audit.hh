@@ -75,9 +75,9 @@ struct AuditReport
 /**
  * Violation ledger with a bench-grade hot path: a passing check is one
  * branch and a counter increment — cheap enough to sit on a per-event
- * loop (the open_system_churn_audited bench case measures exactly
- * that). Failures are counted per check name and sampled, never
- * silent.
+ * loop (perfbench's obs.audit_overhead measures what the auditor costs
+ * a real serving run). Failures are counted per check name and
+ * sampled, never silent.
  */
 class AuditLog
 {

@@ -10,88 +10,22 @@ namespace neon
 namespace obs
 {
 
-double
-MetricsRegistry::Entry::read() const
-{
-    switch (kind) {
-      case Kind::Count:
-        return static_cast<double>(count->value());
-      case Kind::Gaug:
-        return gaug->value();
-      case Kind::Probe:
-        return fn();
-    }
-    return 0.0;
-}
-
 MetricsRegistry::~MetricsRegistry()
 {
     stopSampling();
 }
 
-MetricsRegistry::Entry &
-MetricsRegistry::ensure(Entry::Kind kind, const std::string &name)
-{
-    for (auto &e : entries) {
-        if (e->name == name) {
-            if (e->kind != kind)
-                panic("metric '", name, "' re-registered with another kind");
-            return *e;
-        }
-    }
-    auto e = std::make_unique<Entry>();
-    e->kind = kind;
-    e->name = name;
-    e->seriesIdx = series_.size();
-    series_.push_back({name, {}});
-    entries.push_back(std::move(e));
-    return *entries.back();
-}
-
-Counter &
-MetricsRegistry::counter(const std::string &name)
-{
-    Entry &e = ensure(Entry::Kind::Count, name);
-    if (!e.count)
-        e.count = std::make_unique<Counter>();
-    return *e.count;
-}
-
-Gauge &
-MetricsRegistry::gauge(const std::string &name)
-{
-    Entry &e = ensure(Entry::Kind::Gaug, name);
-    if (!e.gaug)
-        e.gaug = std::make_unique<Gauge>();
-    return *e.gaug;
-}
-
 void
 MetricsRegistry::probe(const std::string &name, std::function<double()> fn)
 {
-    Entry &e = ensure(Entry::Kind::Probe, name);
-    e.fn = std::move(fn);
-}
-
-Log2Histogram &
-MetricsRegistry::histogram(const std::string &name, unsigned max_bin)
-{
-    for (auto &[n, h] : hists) {
-        if (n == name)
-            return *h;
+    for (std::size_t i = 0; i < series_.size(); ++i) {
+        if (series_[i].name == name) {
+            probes[i] = std::move(fn);
+            return;
+        }
     }
-    hists.emplace_back(name, std::make_unique<Log2Histogram>(max_bin));
-    return *hists.back().second;
-}
-
-const std::vector<std::pair<std::string, const Log2Histogram *>>
-MetricsRegistry::histograms() const
-{
-    std::vector<std::pair<std::string, const Log2Histogram *>> out;
-    out.reserve(hists.size());
-    for (const auto &[n, h] : hists)
-        out.emplace_back(n, h.get());
-    return out;
+    series_.push_back({name, {}});
+    probes.push_back(std::move(fn));
 }
 
 void
@@ -127,14 +61,15 @@ void
 MetricsRegistry::sampleNow(EventQueue &q)
 {
     const Tick now = q.now();
-    for (auto &e : entries) {
-        const double v = e->read();
-        series_[e->seriesIdx].samples.push_back({now, v});
+    for (std::size_t i = 0; i < series_.size(); ++i) {
+        const double v = probes[i]();
+        series_[i].samples.push_back({now, v});
         // Mirror into the trace ring so timeline exports grow counter
         // tracks; the name is interned per metric, not per literal, so
         // bypass the macro's static-id path.
         if (traceEnabled(TraceCategory::Counter)) {
-            const std::uint16_t nid = internTraceName(e->name.c_str());
+            const std::uint16_t nid =
+                internTraceName(series_[i].name.c_str());
             detail::emitTrace(TraceCategory::Counter, nid,
                               TraceKind::CounterVal, TraceIds{},
                               std::bit_cast<std::int64_t>(v), 0);
@@ -170,28 +105,6 @@ MetricsRegistry::printCsv(std::ostream &os) const
         }
         os << '\n';
     }
-}
-
-void
-MetricsRegistry::printJson(std::ostream &os) const
-{
-    os << "{\n";
-    bool firstSeries = true;
-    for (const auto &s : series_) {
-        if (!firstSeries)
-            os << ",\n";
-        firstSeries = false;
-        os << "  \"" << s.name << "\": [";
-        bool first = true;
-        for (const auto &sm : s.samples) {
-            if (!first)
-                os << ", ";
-            first = false;
-            os << "[" << toUsec(sm.when) << ", " << sm.value << "]";
-        }
-        os << "]";
-    }
-    os << "\n}\n";
 }
 
 } // namespace obs

@@ -2,17 +2,12 @@
  * @file
  * Named metrics registry with virtual-time sampling.
  *
- * Instrumented code registers metrics once at construction and updates
- * them with plain stores/increments; the registry samples every metric
- * on a configurable virtual-time cadence into an in-memory time series
- * and (when the Counter trace category is enabled) mirrors each sample
- * into the trace ring so exported timelines get counter tracks.
- *
- * Three metric shapes:
- *  - Counter: monotonic accumulator (events processed, denials, ...).
- *  - Gauge: instantaneous value set by the owner or computed on demand
- *    by a probe callback (queue depth, live sessions, vtime lag).
- *  - Log2Histogram-backed distribution for latency-shaped data.
+ * Instrumented code registers probes once at construction: callbacks
+ * into live simulation state (queue depth, live sessions, vtime lag).
+ * The registry evaluates every probe on a configurable virtual-time
+ * cadence into an in-memory time series and (when the Counter trace
+ * category is enabled) mirrors each sample into the trace ring so
+ * exported timelines get counter tracks.
  */
 
 #ifndef NEON_OBS_METRICS_HH
@@ -20,41 +15,17 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <ostream>
 #include <string>
 #include <vector>
 
 #include "sim/event_queue.hh"
-#include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace neon
 {
 namespace obs
 {
-
-/** Monotonic counter. */
-class Counter
-{
-  public:
-    void add(std::uint64_t n = 1) { value_ += n; }
-    std::uint64_t value() const { return value_; }
-
-  private:
-    std::uint64_t value_ = 0;
-};
-
-/** Instantaneous value. */
-class Gauge
-{
-  public:
-    void set(double v) { value_ = v; }
-    double value() const { return value_; }
-
-  private:
-    double value_ = 0.0;
-};
 
 /** One (virtual time, value) sample. */
 struct MetricSample
@@ -71,9 +42,8 @@ struct MetricSeries
 };
 
 /**
- * Owns the metrics of one simulation run and samples them on a
- * virtual-time cadence. Registration returns references that stay
- * valid for the registry's lifetime (metrics are heap-pinned).
+ * Owns the probes of one simulation run and samples them on a
+ * virtual-time cadence.
  */
 class MetricsRegistry
 {
@@ -84,22 +54,12 @@ class MetricsRegistry
     MetricsRegistry(const MetricsRegistry &) = delete;
     MetricsRegistry &operator=(const MetricsRegistry &) = delete;
 
-    /** Register (or look up) a monotonic counter. */
-    Counter &counter(const std::string &name);
-
-    /** Register (or look up) a gauge. */
-    Gauge &gauge(const std::string &name);
-
     /**
-     * Register a computed gauge: @p fn is evaluated at each sampling
-     * tick. Useful when the value lives in simulation state (queue
-     * depth, lag) and should not be mirrored on every change.
+     * Register a probe: @p fn is evaluated at each sampling tick.
+     * Registering a name again replaces its callback and keeps its
+     * series.
      */
     void probe(const std::string &name, std::function<double()> fn);
-
-    /** Register (or look up) a log2 distribution. */
-    Log2Histogram &histogram(const std::string &name,
-                             unsigned max_bin = 20);
 
     /**
      * Begin sampling every registered metric each @p period of virtual
@@ -111,44 +71,22 @@ class MetricsRegistry
     /** Cancel the sampling cadence (series are kept). */
     void stopSampling();
 
-    /** Take one sample of every metric right now (time from @p eq). */
+    /** Take one sample of every probe right now (time from @p eq). */
     void sampleNow(EventQueue &eq);
 
-    /** Recorded series for every sampled metric (stable order). */
+    /** Recorded series for every probe (registration order). */
     const std::vector<MetricSeries> &series() const { return series_; }
-
-    /** Registered histograms, for end-of-run reporting. */
-    const std::vector<std::pair<std::string, const Log2Histogram *>>
-    histograms() const;
 
     /**
      * Dump the time series as CSV: one row per sample time, one column
-     * per metric ("time_us,metric,...").
+     * per probe ("time_us,metric,...").
      */
     void printCsv(std::ostream &os) const;
 
-    /** Dump the time series as a JSON object keyed by metric name. */
-    void printJson(std::ostream &os) const;
-
   private:
-    struct Entry
-    {
-        enum class Kind { Count, Gaug, Probe } kind;
-        std::string name;
-        std::unique_ptr<Counter> count;
-        std::unique_ptr<Gauge> gaug;
-        std::function<double()> fn;
-        std::size_t seriesIdx;
-
-        double read() const;
-    };
-
-    Entry &ensure(Entry::Kind kind, const std::string &name);
     void scheduleNext();
 
-    std::vector<std::unique_ptr<Entry>> entries;
-    std::vector<std::pair<std::string, std::unique_ptr<Log2Histogram>>>
-        hists;
+    std::vector<std::function<double()>> probes; ///< parallel to series_
     std::vector<MetricSeries> series_;
 
     EventQueue *eq = nullptr;

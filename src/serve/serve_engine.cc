@@ -420,9 +420,13 @@ ServeEngine::scheduleRetry(SessionRecord &s)
         shedSession(s);
         return;
     }
-    Tick backoff = cfg.retry.backoffBase << s.retries;
-    if (backoff > cfg.retry.backoffCap || backoff <= 0)
-        backoff = cfg.retry.backoffCap;
+    // base << retries, saturated at the cap before the shift can pass
+    // the width of Tick: on a hopeless fleet every backoff round bumps
+    // retries, so it can outgrow any shift.
+    const Tick base = cfg.retry.backoffBase;
+    Tick backoff = cfg.retry.backoffCap;
+    if (base > 0 && s.retries < 64 && base <= (backoff >> s.retries))
+        backoff = base << s.retries;
     ++s.retries;
 
     const std::uint64_t sid = s.id;
@@ -550,6 +554,31 @@ ServeEngine::queueBudgetOf(std::size_t cls) const
 {
     const Tick own = classes[cls].queueBudget;
     return own > 0 ? own : cfg.slo.queueTarget;
+}
+
+bool
+ServeEngine::meetsSlo(std::size_t cls, Tick arrived, Tick admitted,
+                      Tick departed) const
+{
+    const Tick sojourn = cfg.slo.sojournTarget;
+    if (sojourn > 0 && departed - admitted > sojourn)
+        return false;
+    const Tick budget = queueBudgetOf(cls);
+    return budget <= 0 || admitted - arrived <= budget;
+}
+
+double
+ServeEngine::serviceRate(const SessionRecord &s, Tick busy,
+                         Tick residency) const
+{
+    double speed = 1.0;
+    if (!s.devices.empty()) {
+        speed = fleet.stack(s.devices.back()).device.config().speedFactor;
+        if (speed <= 0.0)
+            speed = 1.0;
+    }
+    return static_cast<double>(busy) * speed /
+        static_cast<double>(residency);
 }
 
 int

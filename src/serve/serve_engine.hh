@@ -221,6 +221,32 @@ class ServeEngine
     std::size_t peakLiveSessions() const { return peakLive; }
     std::size_t slotsPerDevice() const { return slots; }
 
+    // ------------------------------------------------------------------
+    // Service-level rules (shared by results and the analysis plane)
+    // ------------------------------------------------------------------
+
+    /** Queue-delay budget of class @p cls: its own, else slo.queueTarget. */
+    Tick queueBudgetOf(std::size_t cls) const;
+
+    /**
+     * Did a clean departure of class @p cls meet the SLO? Its residency
+     * (admitted to departed) must be within slo.sojournTarget and its
+     * queueing delay (arrived to admitted) within the class's queue
+     * budget; an unset bound always holds.
+     */
+    bool meetsSlo(std::size_t cls, Tick arrived, Tick admitted,
+                  Tick departed) const;
+
+    /**
+     * Speed-normalized service rate of @p s: @p busy device time
+     * weighted by the speed of the session's last device (a speed
+     * <= 0 counts as 1), over @p residency. With migration the device
+     * varies by incarnation; the last one's speed stands in for the
+     * busy-weighted mean, whose per-incarnation split is not retained.
+     */
+    double serviceRate(const SessionRecord &s, Tick busy,
+                       Tick residency) const;
+
   private:
     void scheduleNextArrival(std::size_t cls);
     void onArrival(std::size_t cls);
@@ -238,7 +264,6 @@ class ServeEngine
     void preemptSession(SessionRecord &victim);
     void preemptRequeue(std::uint64_t sid);
     Tick queuedWorkAhead(int rank) const;
-    Tick queueBudgetOf(std::size_t cls) const;
     int qosRankOf(std::size_t cls) const;
     void freeSlot(const std::string &tenant);
     void trackPlaced(SessionRecord &s);

@@ -228,7 +228,7 @@ class EventQueue
     /** Total number of events executed so far. */
     std::uint64_t executed() const { return nExecuted; }
 
-    /** Internal-state observability, for tests and the perf reporter. */
+    /** Internal-state observability, for tests and perfbench. */
     struct QueueStats
     {
         std::size_t live;        ///< live (non-cancelled) events

@@ -7,12 +7,16 @@
  * interrupted sessions must recover through failover/retry with
  * exact usage accounting, the availability report must match the
  * injected counts, and an empty plan must leave the run bit-identical
- * to a faults-off run at the same seed.
+ * to a faults-off run at the same seed. A long whole-fleet outage must
+ * keep the retry backoff capped and end in recovery or, once the retry
+ * budget is spent, a shed.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "harness/serve_runner.hh"
@@ -151,6 +155,83 @@ TEST(FaultIntegration, OversubscribedFleetSurvivesScriptedFaults)
                     static_cast<double>(msec(300)) /
                         static_cast<double>(4 * sec(4)),
                 1e-9);
+}
+
+TEST(FaultIntegration, RetryBackoffStaysCappedThroughALongOutage)
+{
+    // One session on a one-device fleet whose device dies for 10 s.
+    // Every backoff round on the hopeless fleet consumes a retry, so a
+    // budget of 200 outlives 64 rounds (past the width of a Tick
+    // shift): the backoff must ramp, stay at its cap, and the session
+    // must resume after the repair. The default budget of 3 must shed
+    // the session instead, with every outcome still accounted.
+    for (const int max_retries : {200, 3}) {
+        SCOPED_TRACE("maxRetries=" + std::to_string(max_retries));
+        ExperimentConfig cfg;
+        cfg.sched = SchedKind::DisengagedFq;
+        cfg.fleet.devices = 1;
+        cfg.serve.slotsPerDevice = 1;
+        cfg.serve.retry.maxRetries = max_retries;
+        cfg.measure = sec(12);
+        cfg.fault.plan.script = {
+            {msec(100), FaultKind::DeviceDeath, 0, sec(10)},
+        };
+        cfg.observe.categories =
+            static_cast<std::uint32_t>(obs::TraceCategory::Fault);
+
+        WorkloadSpec w = WorkloadSpec::throttle(usec(300));
+        w.label = "sess";
+        const std::vector<ServeWorkloadSpec> specs = {
+            {w, ArrivalSpec::trace({0}), LifetimeSpec::fixed(sec(1))},
+        };
+
+        ServeWorld world(cfg, specs);
+        world.start();
+        world.runFor(cfg.measure);
+        const ServeRunResult r = world.results();
+        ASSERT_EQ(r.traceDrops, 0u);
+
+        std::vector<Tick> backoffs;
+        for (const obs::TraceRecord &rec : world.observer->mergedRecords()) {
+            if (obs::traceNameOf(rec.name) == "serve.retry_backoff")
+                backoffs.push_back(rec.arg1);
+        }
+        // The ramp doubles from the base, then holds at the cap.
+        Tick want = cfg.serve.retry.backoffBase;
+        for (std::size_t i = 0; i < backoffs.size(); ++i) {
+            EXPECT_EQ(backoffs[i], want) << "backoff " << i;
+            want = std::min(2 * want, cfg.serve.retry.backoffCap);
+        }
+
+        ASSERT_EQ(r.sessions.size(), 1u);
+        const ServeSessionResult &s = r.sessions[0];
+        EXPECT_EQ(s.evictions, 1);
+        if (max_retries == 200) {
+            EXPECT_GT(backoffs.size(), 129u); // past shifts 64 and 128
+            EXPECT_EQ(s.failovers, 1);
+            EXPECT_TRUE(s.hasDeparted());
+            EXPECT_FALSE(s.shed);
+            EXPECT_GE(s.departed, msec(100) + sec(10));
+            EXPECT_EQ(r.shedSessions, 0u);
+            EXPECT_EQ(r.departures, 1u);
+        } else {
+            EXPECT_EQ(backoffs.size(), 3u);
+            EXPECT_EQ(s.failovers, 0);
+            EXPECT_FALSE(s.hasDeparted());
+            EXPECT_TRUE(s.shed);
+            EXPECT_FALSE(s.shedPredicted);
+            EXPECT_EQ(r.shedSessions, 1u);
+            EXPECT_EQ(r.departures, 0u);
+            EXPECT_EQ(r.fault.shedSessions, 1u);
+        }
+        // Conservation: the one arrival ended exactly one way.
+        EXPECT_EQ(r.arrivals, 1u);
+        EXPECT_EQ(r.arrivals, r.departures + r.kills + r.shedSessions +
+                                  r.throttledSessions);
+        expectExactAccounting(world, r);
+        EXPECT_GT(r.audit.checks, 0u);
+        EXPECT_TRUE(r.audit.clean()) << r.audit.summary();
+    }
 }
 
 TEST(FaultIntegration, EmptyPlanIsBitIdenticalToFaultsOff)

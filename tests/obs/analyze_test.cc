@@ -2,8 +2,9 @@
  * @file
  * Acceptance tests for the analysis plane: phase attribution must
  * exactly partition every session's in-system time — across
- * migrations, device death, failover, retry backoff, and watchdog
- * kills — a single whole-run window must reproduce the final service
+ * migrations, device death, failover, retry backoff, watchdog kills,
+ * throttling, predictive shedding, and QoS preemption — a single
+ * whole-run window must reproduce the final service
  * fairness index bit-for-bit, the windowed timeline must be
  * deterministic across repeats and worker-thread counts, and replaying
  * an exported trace must reproduce the in-process attribution.
@@ -70,93 +71,182 @@ faultyScenarioSpecs()
     };
 }
 
+/**
+ * The control-plane scenario: an interactive and a batch tenant
+ * oversubscribing a 4-device fleet with per-tenant token buckets,
+ * predictive shedding, and QoS preemption on — the throttle, shed,
+ * and preempt/requeue/resume transitions.
+ */
+ExperimentConfig
+controlScenarioConfig()
+{
+    ExperimentConfig cfg;
+    cfg.sched = SchedKind::DisengagedFq;
+    cfg.fleet.devices = 4;
+    cfg.serve.slotsPerDevice = 2;
+    cfg.serve.useGlobalClock = true;
+    cfg.serve.clockPeriod = msec(10);
+    cfg.serve.migrationLag = msec(25);
+    cfg.measure = sec(1);
+
+    // The interactive tenant offers 200/s against a 150/s bucket, and
+    // what passes (~9 slot-equivalents) still overloads the 8 slots
+    // on its own, so interactive arrivals queue behind each other and
+    // get shed as well as preempting batch sessions.
+    cfg.serve.rateLimit.ratePerSec = 150.0;
+    cfg.serve.rateLimit.burst = 3.0;
+    cfg.serve.shed.enabled = true;
+    cfg.serve.qos.enabled = true;
+    cfg.serve.qos.preemption = true;
+    cfg.serve.qos.preemptionBackoff = msec(5);
+    return cfg;
+}
+
+std::vector<ServeWorkloadSpec>
+controlScenarioSpecs()
+{
+    WorkloadSpec batch = WorkloadSpec::throttle(usec(400));
+    batch.label = "batch";
+    WorkloadSpec inter = WorkloadSpec::throttle(usec(150), 0.3);
+    inter.label = "inter";
+    ServeWorkloadSpec sb{batch, ArrivalSpec::poisson(60.0, msec(800)),
+                         LifetimeSpec::fixed(msec(150))};
+    sb.qos = QosClass::Batch;
+    ServeWorkloadSpec si{inter, ArrivalSpec::poisson(200.0, msec(800)),
+                         LifetimeSpec::exponential(msec(60))};
+    si.qos = QosClass::Interactive;
+    si.queueBudget = msec(10);
+    return {sb, si};
+}
+
+/** One analysis input: a serving config and its workload classes. */
+struct Scenario
+{
+    const char *name;
+    bool control; ///< the control-plane scenario (else the faulty one)
+    ExperimentConfig cfg;
+    std::vector<ServeWorkloadSpec> specs;
+};
+
+std::vector<Scenario>
+scenarios()
+{
+    return {
+        {"faults", false, faultyScenarioConfig(), faultyScenarioSpecs()},
+        {"control", true, controlScenarioConfig(), controlScenarioSpecs()},
+    };
+}
+
 TEST(Analyze, PhasePartitionExactUnderScriptedFaults)
 {
-    ExperimentConfig cfg = faultyScenarioConfig();
-    cfg.observe.analyze.phases = true;
-    // One window spanning the whole run: its fairness must reduce to
-    // the final whole-run index.
-    cfg.observe.analyze.window = 2 * cfg.measure;
-    cfg.serve.slo.sojournTarget = sec(2);
+    for (Scenario &sc : scenarios()) {
+        SCOPED_TRACE(sc.name);
+        ExperimentConfig &cfg = sc.cfg;
+        cfg.observe.analyze.phases = true;
+        // One window spanning the whole run: its fairness must reduce
+        // to the final whole-run index.
+        cfg.observe.analyze.window = 2 * cfg.measure;
+        cfg.serve.slo.sojournTarget = sec(2);
 
-    ServeWorld world(cfg, faultyScenarioSpecs());
-    world.start();
-    world.runFor(cfg.measure);
-    const ServeRunResult r = world.results();
+        ServeWorld world(cfg, sc.specs);
+        world.start();
+        world.runFor(cfg.measure);
+        const ServeRunResult r = world.results();
 
-    // The scenario exercised every transition the tracker models.
-    ASSERT_EQ(r.arrivals, 20u);
-    ASSERT_EQ(r.kills, 2u);
-    ASSERT_GE(r.evictions, 1u);
-    ASSERT_GE(r.migrations, 1u);
-
-    // Exact partition: queue + service + migration + stall covers the
-    // arrival-to-end interval of every session, in integer ticks.
-    ASSERT_EQ(r.sessionPhases.size(), r.sessions.size());
-    for (const SessionPhases &s : r.sessionPhases) {
-        EXPECT_EQ(s.phases.total(), s.inSystem()) << "session " << s.session;
-        EXPECT_GE(s.phases.queue, 0);
-        EXPECT_GE(s.phases.service, 0);
-        EXPECT_GE(s.phases.migration, 0);
-        EXPECT_GE(s.phases.stall, 0);
-
-        // The ledger agrees with the harness's own session results.
-        const ServeSessionResult &ref = r.sessions[s.session];
-        EXPECT_EQ(s.arrived, ref.arrived);
-        EXPECT_EQ(s.admitted, ref.admitted);
-        EXPECT_EQ(s.killed, ref.killed);
-        // The ledger stamps a departure time for kills too; the
-        // tracker's departed flag means a clean departure.
-        EXPECT_EQ(s.departed, ref.hasDeparted() && !ref.killed);
-        if (ref.hasDeparted()) {
-            EXPECT_EQ(s.ended, ref.departed);
-            EXPECT_GT(s.phases.service, 0);
+        // The scenario exercised every transition the tracker models.
+        if (sc.control) {
+            ASSERT_GT(r.throttledSessions, 0u);
+            ASSERT_GT(r.predictiveSheds, 0u);
+            ASSERT_GT(r.preemptions, 0u);
+        } else {
+            ASSERT_EQ(r.arrivals, 20u);
+            ASSERT_EQ(r.kills, 2u);
+            ASSERT_GE(r.evictions, 1u);
+            ASSERT_GE(r.migrations, 1u);
         }
-        // A device-death eviction forces a backoff interval before the
-        // retry re-queues: attributed to the stall phase.
-        if (ref.evictions > 0) {
-            EXPECT_GT(s.phases.stall, 0) << "session " << s.session;
+
+        // Exact partition: queue + service + migration + stall covers
+        // the arrival-to-end interval of every session, in integer
+        // ticks.
+        ASSERT_EQ(r.sessionPhases.size(), r.sessions.size());
+        for (const SessionPhases &s : r.sessionPhases) {
+            EXPECT_EQ(s.phases.total(), s.inSystem())
+                << "session " << s.session;
+            EXPECT_GE(s.phases.queue, 0);
+            EXPECT_GE(s.phases.service, 0);
+            EXPECT_GE(s.phases.migration, 0);
+            EXPECT_GE(s.phases.stall, 0);
+
+            // The ledger agrees with the harness's own session results.
+            const ServeSessionResult &ref = r.sessions[s.session];
+            EXPECT_EQ(s.arrived, ref.arrived);
+            EXPECT_EQ(s.admitted, ref.admitted);
+            EXPECT_EQ(s.killed, ref.killed);
+            EXPECT_EQ(s.shed, ref.shed);
+            EXPECT_EQ(s.throttled, ref.throttled);
+            // The ledger stamps a departure time for kills too; the
+            // tracker's departed flag means a clean departure.
+            EXPECT_EQ(s.departed, ref.hasDeparted() && !ref.killed);
+            if (ref.hasDeparted()) {
+                EXPECT_EQ(s.ended, ref.departed);
+                EXPECT_GT(s.phases.service, 0);
+            }
+            // A device-death eviction, like a preemption, forces a
+            // backoff interval before the session re-queues:
+            // attributed to the stall phase.
+            if (ref.evictions > 0 || ref.preemptions > 0) {
+                EXPECT_GT(s.phases.stall, 0) << "session " << s.session;
+            }
         }
+
+        // Queue time is bounded by in-system time, and at least one
+        // oversubscribed session waited.
+        Tick total_queue = 0;
+        for (const SessionPhases &s : r.sessionPhases)
+            total_queue += s.phases.queue;
+        EXPECT_GT(total_queue, 0);
+
+        // Whole-run window: event counts match the run, the fairness
+        // index is the final one bit-for-bit, and goodput agrees with
+        // the SLO report.
+        ASSERT_EQ(r.timeline.size(), 1u);
+        const WindowStats &w = r.timeline.front();
+        EXPECT_EQ(w.start, 0);
+        EXPECT_EQ(w.arrivals, r.arrivals);
+        EXPECT_EQ(w.departures, r.departures);
+        EXPECT_EQ(w.kills, r.kills);
+        EXPECT_EQ(w.sheds, r.shedSessions);
+        EXPECT_EQ(w.throttled, r.throttledSessions);
+        EXPECT_EQ(w.preempts, r.preemptions);
+        EXPECT_DOUBLE_EQ(w.fairness, r.serviceFairness);
+        EXPECT_TRUE(r.slo.goodput.targeted);
+        EXPECT_EQ(w.goodputEligible, r.slo.goodput.eligible);
+        EXPECT_EQ(w.goodputMet, r.slo.goodput.met);
+        ASSERT_EQ(w.deviceUtil.size(), 4u);
+        ASSERT_EQ(w.occupancy.size(), 4u);
+        for (double u : w.deviceUtil) {
+            EXPECT_GE(u, 0.0);
+            EXPECT_LE(u, 1.0);
+        }
+
+        // The tail report groups each tenant/class coherently: one
+        // group per workload class, together covering every session.
+        EXPECT_EQ(r.phases.overall.sessions, r.arrivals);
+        ASSERT_EQ(r.phases.byTenant.size(), sc.specs.size());
+        ASSERT_EQ(r.phases.byClass.size(), sc.specs.size());
+        std::uint64_t by_tenant = 0, by_class = 0;
+        for (std::size_t g = 0; g < sc.specs.size(); ++g) {
+            by_tenant += r.phases.byTenant[g].sessions;
+            by_class += r.phases.byClass[g].sessions;
+        }
+        EXPECT_EQ(by_tenant, r.arrivals);
+        EXPECT_EQ(by_class, r.arrivals);
+        EXPECT_FALSE(r.phases.overall.dominantPhase.empty());
+
+        // The always-on auditor rode along and found nothing.
+        EXPECT_GT(r.audit.checks, 0u);
+        EXPECT_TRUE(r.audit.clean()) << r.audit.summary();
     }
-
-    // Everyone was admitted eventually, so queue time is bounded by
-    // in-system time and at least one oversubscribed session waited.
-    Tick total_queue = 0;
-    for (const SessionPhases &s : r.sessionPhases)
-        total_queue += s.phases.queue;
-    EXPECT_GT(total_queue, 0);
-
-    // Whole-run window: event counts match the run, the fairness index
-    // is the final one bit-for-bit, and goodput agrees with the SLO
-    // report.
-    ASSERT_EQ(r.timeline.size(), 1u);
-    const WindowStats &w = r.timeline.front();
-    EXPECT_EQ(w.start, 0);
-    EXPECT_EQ(w.arrivals, r.arrivals);
-    EXPECT_EQ(w.departures, r.departures);
-    EXPECT_EQ(w.kills, r.kills);
-    EXPECT_EQ(w.sheds, r.shedSessions);
-    EXPECT_DOUBLE_EQ(w.fairness, r.serviceFairness);
-    EXPECT_TRUE(r.slo.goodput.targeted);
-    EXPECT_EQ(w.goodputEligible, r.slo.goodput.eligible);
-    EXPECT_EQ(w.goodputMet, r.slo.goodput.met);
-    ASSERT_EQ(w.deviceUtil.size(), 4u);
-    ASSERT_EQ(w.occupancy.size(), 4u);
-    for (double u : w.deviceUtil) {
-        EXPECT_GE(u, 0.0);
-        EXPECT_LE(u, 1.0);
-    }
-
-    // The tail report groups the single tenant/class coherently.
-    EXPECT_EQ(r.phases.overall.sessions, r.arrivals);
-    ASSERT_EQ(r.phases.byTenant.size(), 1u);
-    ASSERT_EQ(r.phases.byClass.size(), 1u);
-    EXPECT_EQ(r.phases.byTenant[0].sessions, r.arrivals);
-    EXPECT_FALSE(r.phases.overall.dominantPhase.empty());
-
-    // The always-on auditor rode along and found nothing.
-    EXPECT_GT(r.audit.checks, 0u);
-    EXPECT_TRUE(r.audit.clean()) << r.audit.summary();
 }
 
 TEST(Analyze, TraceReplayMatchesDirectAttribution)
@@ -164,42 +254,49 @@ TEST(Analyze, TraceReplayMatchesDirectAttribution)
     // Recording the run and replaying the exported lifecycle records
     // through a fresh PhaseTracker must reproduce the in-process
     // attribution exactly (the capture is sized to be drop-free).
-    ExperimentConfig cfg = faultyScenarioConfig();
-    cfg.observe.analyze.phases = true;
-    cfg.observe.categories = defaultTraceCategories;
-    cfg.observe.bufferCapacity = std::size_t(1) << 20;
+    for (Scenario &sc : scenarios()) {
+        SCOPED_TRACE(sc.name);
+        ExperimentConfig &cfg = sc.cfg;
+        cfg.observe.analyze.phases = true;
+        cfg.observe.categories = defaultTraceCategories;
+        cfg.observe.bufferCapacity = std::size_t(1) << 20;
 
-    ServeWorld world(cfg, faultyScenarioSpecs());
-    world.start();
-    world.runFor(cfg.measure);
-    const ServeRunResult r = world.results();
-    ASSERT_NE(world.observer, nullptr);
-    ASSERT_EQ(r.traceDrops, 0u) << "capture must be exact for replay";
+        ServeWorld world(cfg, sc.specs);
+        world.start();
+        world.runFor(cfg.measure);
+        const ServeRunResult r = world.results();
+        ASSERT_NE(world.observer, nullptr);
+        ASSERT_EQ(r.traceDrops, 0u) << "capture must be exact for replay";
 
-    const std::vector<SessionEvent> events =
-        sessionEventsFromTrace(world.observer->mergedRecords());
-    ASSERT_FALSE(events.empty());
+        const std::vector<SessionEvent> events =
+            sessionEventsFromTrace(world.observer->mergedRecords());
+        ASSERT_FALSE(events.empty());
 
-    PhaseTracker replay;
-    for (const SessionEvent &e : events)
-        replay.onEvent(e);
-    replay.finalize(cfg.measure);
+        PhaseTracker replay;
+        for (const SessionEvent &e : events)
+            replay.onEvent(e);
+        replay.finalize(cfg.measure);
 
-    ASSERT_EQ(replay.sessions().size(), r.sessionPhases.size());
-    for (std::size_t i = 0; i < replay.sessions().size(); ++i) {
-        const SessionPhases &a = replay.sessions()[i];
-        const SessionPhases &b = r.sessionPhases[i];
-        EXPECT_EQ(a.arrived, b.arrived) << "session " << i;
-        EXPECT_EQ(a.admitted, b.admitted) << "session " << i;
-        EXPECT_EQ(a.ended, b.ended) << "session " << i;
-        EXPECT_EQ(a.departed, b.departed) << "session " << i;
-        EXPECT_EQ(a.killed, b.killed) << "session " << i;
-        EXPECT_EQ(a.shed, b.shed) << "session " << i;
-        EXPECT_EQ(a.cls, b.cls) << "session " << i;
-        EXPECT_EQ(a.phases.queue, b.phases.queue) << "session " << i;
-        EXPECT_EQ(a.phases.service, b.phases.service) << "session " << i;
-        EXPECT_EQ(a.phases.migration, b.phases.migration) << "session " << i;
-        EXPECT_EQ(a.phases.stall, b.phases.stall) << "session " << i;
+        ASSERT_EQ(replay.sessions().size(), r.sessionPhases.size());
+        for (std::size_t i = 0; i < replay.sessions().size(); ++i) {
+            const SessionPhases &a = replay.sessions()[i];
+            const SessionPhases &b = r.sessionPhases[i];
+            EXPECT_EQ(a.arrived, b.arrived) << "session " << i;
+            EXPECT_EQ(a.admitted, b.admitted) << "session " << i;
+            EXPECT_EQ(a.ended, b.ended) << "session " << i;
+            EXPECT_EQ(a.departed, b.departed) << "session " << i;
+            EXPECT_EQ(a.killed, b.killed) << "session " << i;
+            EXPECT_EQ(a.shed, b.shed) << "session " << i;
+            EXPECT_EQ(a.throttled, b.throttled) << "session " << i;
+            EXPECT_EQ(a.open, b.open) << "session " << i;
+            EXPECT_EQ(a.cls, b.cls) << "session " << i;
+            EXPECT_EQ(a.phases.queue, b.phases.queue) << "session " << i;
+            EXPECT_EQ(a.phases.service, b.phases.service)
+                << "session " << i;
+            EXPECT_EQ(a.phases.migration, b.phases.migration)
+                << "session " << i;
+            EXPECT_EQ(a.phases.stall, b.phases.stall) << "session " << i;
+        }
     }
 }
 

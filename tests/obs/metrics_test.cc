@@ -1,14 +1,17 @@
 /**
  * @file
- * Unit tests for the metrics registry: counters, gauges, probes,
- * virtual-time sampling, trace-ring mirroring, and CSV/JSON dumps.
+ * Unit tests for the metrics registry: probe registration,
+ * virtual-time sampling, trace-ring mirroring, and the CSV dump.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
+#include <cstdint>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -23,40 +26,44 @@ using namespace obs;
 
 TEST(Metrics, RegistrationIsIdempotent)
 {
+    // Registering a name again keeps its one series and replaces the
+    // callback behind it.
+    EventQueue eq;
     MetricsRegistry reg;
-    Counter &c1 = reg.counter("m.count");
-    Counter &c2 = reg.counter("m.count");
-    EXPECT_EQ(&c1, &c2);
-    c1.add(3);
-    EXPECT_EQ(c2.value(), 3u);
+    reg.probe("m.first", [] { return 1.0; });
+    reg.probe("m.other", [] { return 3.0; });
+    reg.probe("m.first", [] { return 2.5; });
 
-    Gauge &g = reg.gauge("m.gauge");
-    g.set(2.5);
-    EXPECT_DOUBLE_EQ(reg.gauge("m.gauge").value(), 2.5);
+    ASSERT_EQ(reg.series().size(), 2u);
+    EXPECT_EQ(reg.series()[0].name, "m.first");
+    EXPECT_EQ(reg.series()[1].name, "m.other");
 
-    Log2Histogram &h1 = reg.histogram("m.hist");
-    Log2Histogram &h2 = reg.histogram("m.hist");
-    EXPECT_EQ(&h1, &h2);
+    reg.sampleNow(eq);
+    ASSERT_EQ(reg.series()[0].samples.size(), 1u);
+    EXPECT_DOUBLE_EQ(reg.series()[0].samples[0].value, 2.5);
+    EXPECT_DOUBLE_EQ(reg.series()[1].samples[0].value, 3.0);
 }
 
 TEST(Metrics, SamplingCadenceRecordsEveryMetric)
 {
     EventQueue eq;
     MetricsRegistry reg;
-    Counter &events = reg.counter("events");
-    Gauge &depth = reg.gauge("depth");
+    std::uint64_t events = 0;
+    int depth = 0;
+    reg.probe("events", [&events] { return static_cast<double>(events); });
+    reg.probe("depth", [&depth] { return static_cast<double>(depth); });
     int probe_calls = 0;
     reg.probe("lag", [&probe_calls] {
         ++probe_calls;
         return 7.0;
     });
 
-    // Simulated activity: the counter grows once per 100us, the gauge
+    // Simulated activity: the count grows once per 100us, the depth
     // tracks the current step index.
     for (int i = 1; i <= 10; ++i) {
         eq.schedule(usec(100) * i, [&events, &depth, i] {
-            events.add(2);
-            depth.set(i);
+            events += 2;
+            depth = i;
         });
     }
 
@@ -90,7 +97,7 @@ TEST(Metrics, SamplesMirrorIntoTraceRingWhenCounterCategoryOn)
                  &eq);
 
     MetricsRegistry reg;
-    reg.gauge("mirrored").set(42.5);
+    reg.probe("mirrored", [] { return 42.5; });
     reg.startSampling(eq, usec(100));
     eq.runFor(usec(350)); // 3 samples
     setTraceSink(nullptr, 0);
@@ -112,7 +119,7 @@ TEST(Metrics, NoMirroringWhenCounterCategoryOff)
                  &eq);
 
     MetricsRegistry reg;
-    reg.gauge("silent").set(1.0);
+    reg.probe("silent", [] { return 1.0; });
     reg.startSampling(eq, usec(100));
     eq.runFor(usec(500));
     setTraceSink(nullptr, 0);
@@ -125,8 +132,8 @@ TEST(Metrics, CsvDumpAlignsSeriesByRow)
 {
     EventQueue eq;
     MetricsRegistry reg;
-    reg.counter("a").add(1);
-    reg.gauge("b").set(0.5);
+    reg.probe("a", [] { return 1.0; });
+    reg.probe("b", [] { return 0.5; });
     reg.startSampling(eq, usec(10));
     eq.runFor(usec(30));
 
@@ -136,27 +143,14 @@ TEST(Metrics, CsvDumpAlignsSeriesByRow)
     std::string line;
     ASSERT_TRUE(std::getline(is, line));
     EXPECT_EQ(line, "time_us,a,b");
-    std::size_t rows = 0;
+    std::vector<std::string> rows;
     while (std::getline(is, line)) {
-        ++rows;
         EXPECT_EQ(std::count(line.begin(), line.end(), ','), 2);
+        rows.push_back(line);
     }
-    EXPECT_EQ(rows, 3u);
-}
-
-TEST(Metrics, JsonDumpEmitsEverySeries)
-{
-    EventQueue eq;
-    MetricsRegistry reg;
-    reg.gauge("x").set(3.0);
-    reg.startSampling(eq, usec(10));
-    eq.runFor(usec(20));
-
-    std::ostringstream os;
-    reg.printJson(os);
-    const std::string out = os.str();
-    EXPECT_NE(out.find("\"x\""), std::string::npos);
-    EXPECT_NE(out.find("[10, 3]"), std::string::npos);
+    ASSERT_EQ(rows.size(), 3u);
+    EXPECT_EQ(rows[0], "10,1,0.5");
+    EXPECT_EQ(rows[2], "30,1,0.5");
 }
 
 } // namespace
