@@ -30,42 +30,6 @@
 
 using namespace neon;
 
-namespace
-{
-
-/**
- * Minimal field extraction from one exported record line. The format
- * is machine-written (printRecordJson), so a strict scan for
- * "key": value is sufficient — no general JSON parser needed.
- */
-bool
-jsonInt(const std::string &line, const char *key, long long &out)
-{
-    const std::string needle = std::string("\"") + key + "\": ";
-    const std::size_t at = line.find(needle);
-    if (at == std::string::npos)
-        return false;
-    out = std::strtoll(line.c_str() + at + needle.size(), nullptr, 10);
-    return true;
-}
-
-bool
-jsonString(const std::string &line, const char *key, std::string &out)
-{
-    const std::string needle = std::string("\"") + key + "\": \"";
-    const std::size_t at = line.find(needle);
-    if (at == std::string::npos)
-        return false;
-    const std::size_t start = at + needle.size();
-    const std::size_t end = line.find('"', start);
-    if (end == std::string::npos)
-        return false;
-    out = line.substr(start, end - start);
-    return true;
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
@@ -96,37 +60,9 @@ main(int argc, char **argv)
         return 2;
     }
 
-    // Rebuild lifecycle events from the recorded lines.
-    std::vector<SessionEvent> events;
     std::uint64_t lines = 0;
-    std::string line;
-    while (std::getline(in, line)) {
-        ++lines;
-        long long when = 0, session = -1, kind_num = 0;
-        std::string name;
-        if (!jsonInt(line, "when", when) ||
-            !jsonInt(line, "session", session) ||
-            !jsonInt(line, "kind", kind_num) ||
-            !jsonString(line, "name", name))
-            continue;
-        if (session < 0)
-            continue;
-        SessionEvent::Kind kind;
-        if (!obs::sessionEventKindOf(
-                name, static_cast<obs::TraceKind>(kind_num), kind))
-            continue;
-        SessionEvent e;
-        e.kind = kind;
-        e.when = when;
-        e.session = static_cast<std::uint64_t>(session);
-        long long device = -1, arg0 = 0;
-        jsonInt(line, "device", device);
-        e.device = static_cast<std::int32_t>(device);
-        if (kind == SessionEvent::Kind::Arrive &&
-            jsonInt(line, "arg0", arg0))
-            e.cls = static_cast<std::size_t>(arg0);
-        events.push_back(e);
-    }
+    const std::vector<SessionEvent> events =
+        obs::sessionEventsFromJsonl(in, &lines);
     if (events.empty()) {
         std::cerr << "no session lifecycle records in '" << path << "' ("
                   << lines << " lines) - was the serve category traced?\n";

@@ -7,17 +7,6 @@
 namespace neon
 {
 
-const char *
-faultKindName(FaultKind k)
-{
-    switch (k) {
-      case FaultKind::DeviceStall: return "stall";
-      case FaultKind::DeviceDeath: return "death";
-      case FaultKind::ChannelHang: return "hang";
-    }
-    return "?";
-}
-
 namespace
 {
 

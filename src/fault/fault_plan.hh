@@ -27,9 +27,6 @@ std::vector<FaultEvent> buildFaultPlan(const FaultPlanConfig &cfg,
                                        std::size_t devices,
                                        std::uint64_t root_seed);
 
-/** Display name of a fault kind ("stall", "death", "hang"). */
-const char *faultKindName(FaultKind k);
-
 } // namespace neon
 
 #endif // NEON_FAULT_FAULT_PLAN_HH

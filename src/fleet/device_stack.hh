@@ -18,6 +18,7 @@
 #include "gpu/device.hh"
 #include "gpu/usage_meter.hh"
 #include "os/kernel.hh"
+#include "sched/vtime_tap.hh"
 #include "sim/event_queue.hh"
 
 namespace neon
@@ -45,6 +46,7 @@ class DeviceStack
     setScheduler(std::unique_ptr<Scheduler> s)
     {
         sched = std::move(s);
+        vtimeTap = dynamic_cast<const VirtualTimeTap *>(sched.get());
         kernel.setScheduler(sched.get());
     }
 
@@ -55,6 +57,8 @@ class DeviceStack
     GpuDevice device;
     KernelModule kernel;
     std::unique_ptr<Scheduler> sched;
+    /** The policy's virtual-time tap; nullptr if it keeps none. */
+    const VirtualTimeTap *vtimeTap = nullptr;
 };
 
 } // namespace neon

@@ -97,8 +97,7 @@ fleetDfqVtimes(FleetManager &fleet)
     std::vector<Tick> vts;
     vts.reserve(fleet.deviceCount());
     for (std::size_t i = 0; i < fleet.deviceCount(); ++i) {
-        auto *tap =
-            dynamic_cast<VirtualTimeTap *>(fleet.stack(i).sched.get());
+        const VirtualTimeTap *tap = fleet.stack(i).vtimeTap;
         vts.push_back(tap ? tap->tapSystemVtime() : notDfqVtime);
     }
     return vts;

@@ -104,23 +104,17 @@ ServeWorld::results()
     r.kills = engine.killedSessions();
     r.migrations = engine.migrationCount();
     r.evictions = engine.evictedSessions();
-    r.retryAttempts = engine.retryAttempts();
     r.failovers = engine.failoverCount();
     r.shedSessions = engine.shedSessions();
     r.predictiveSheds = engine.predictiveSheds();
     r.throttledSessions = engine.throttledSessions();
     r.preemptions = engine.preemptionCount();
-    r.slo.control.shed = r.shedSessions;
-    r.slo.control.predictiveSheds = r.predictiveSheds;
-    r.slo.control.throttled = r.throttledSessions;
-    r.slo.control.preemptions = r.preemptions;
     r.peakLiveSessions = engine.peakLiveSessions();
     r.peakQueueDepth = engine.admissionState().peakPending();
     r.queuedAtEnd = engine.admissionState().pendingCount();
     r.capacity = engine.admissionState().capacity();
     r.deviceBusy = fleet.perDeviceBusy();
     r.deviceBalance = fleetDeviceBalance(r.deviceBusy);
-    r.vtimeSpreadMs = fleetVtimeSpreadMs(fleet);
 
     std::uint64_t interrupted = 0, recovered = 0;
     std::vector<double> queue_ms, sojourn_ms, turnaround_ms, rates;
@@ -172,9 +166,6 @@ ServeWorld::results()
     }
 
     r.throughputRps = fleetThroughputRps(r.requests, r.elapsed);
-    r.sessionsPerSec = r.elapsed > 0
-        ? static_cast<double>(r.departures) / toSec(r.elapsed)
-        : 0.0;
     r.serviceFairness = jainIndex(rates);
     r.slo.queueDelayMs = summarizeLatencies(std::move(queue_ms));
     r.slo.sojournMs = summarizeLatencies(std::move(sojourn_ms));

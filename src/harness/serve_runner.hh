@@ -97,7 +97,6 @@ struct ServeRunResult
     std::uint64_t kills = 0;
     std::uint64_t migrations = 0;
     std::uint64_t evictions = 0;     ///< session interruptions
-    std::uint64_t retryAttempts = 0; ///< re-admission attempts
     std::uint64_t failovers = 0;     ///< successful resumes
     std::uint64_t shedSessions = 0;  ///< all sheds (front door + retry)
     std::uint64_t predictiveSheds = 0; ///< SLO front-door sheds
@@ -119,7 +118,6 @@ struct ServeRunResult
     std::vector<Tick> deviceBusy;
     std::uint64_t requests = 0;
     double throughputRps = 0.0;
-    double sessionsPerSec = 0.0; ///< departures per second
 
     /**
      * Jain index over per-session speed-normalized service rates
@@ -127,9 +125,6 @@ struct ServeRunResult
      * The serving analogue of FleetFairnessReport::taskFairness.
      */
     double serviceFairness = 1.0;
-
-    /** Max-min spread of per-device normalized vtimes at the horizon. */
-    double vtimeSpreadMs = 0.0;
 
     /** Jain index over per-device busy time. */
     double deviceBalance = 1.0;

@@ -50,43 +50,6 @@ Table::print(std::ostream &os) const
         emit(row);
 }
 
-namespace
-{
-
-/** Quote a CSV cell only when it needs it. */
-std::string
-csvCell(const std::string &cell)
-{
-    if (cell.find_first_of(",\"\n") == std::string::npos)
-        return cell;
-    std::string out = "\"";
-    for (char c : cell) {
-        if (c == '"')
-            out += '"';
-        out += c;
-    }
-    out += '"';
-    return out;
-}
-
-} // namespace
-
-void
-Table::printCsv(std::ostream &os) const
-{
-    auto emit = [&](const std::vector<std::string> &cells) {
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-            if (i)
-                os << ',';
-            os << csvCell(cells[i]);
-        }
-        os << '\n';
-    };
-    emit(header);
-    for (const auto &row : rows)
-        emit(row);
-}
-
 std::string
 Table::num(double v, int precision, Digits mode)
 {

@@ -25,13 +25,6 @@ class Table
     /** Render to @p os with column alignment and a rule under header. */
     void print(std::ostream &os = std::cout) const;
 
-    /**
-     * Render as RFC-4180-style CSV (header row first). Cells containing
-     * commas, quotes, or newlines are quoted; everything else is
-     * emitted verbatim, so the output feeds pandas/gnuplot directly.
-     */
-    void printCsv(std::ostream &os) const;
-
     /** How num() interprets its digit count. */
     enum class Digits
     {

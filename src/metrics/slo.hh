@@ -79,21 +79,6 @@ struct GoodputReport
     double fraction = 1.0;       ///< met / eligible (1.0 when no eligible)
 };
 
-/**
- * Front-door actuation counters, reported next to goodput so an
- * overload run shows *why* goodput held: what the control plane
- * refused (throttle/shed) and what it displaced (preemption). All
- * terminal outcomes are counted — the conservation audit checks
- * arrivals == served + shed + throttled + killed + in-system exactly.
- */
-struct ControlPlaneReport
-{
-    std::uint64_t throttled = 0;       ///< token-bucket rejections
-    std::uint64_t shed = 0;            ///< all sheds (front door + retry)
-    std::uint64_t predictiveSheds = 0; ///< of those, SLO-predicted at arrival
-    std::uint64_t preemptions = 0;     ///< batch incarnations displaced
-};
-
 /** Goodput of one workload class (per-QoS-class SLO attainment). */
 struct ClassGoodput
 {
@@ -125,9 +110,6 @@ struct SloReport
 
     /** Goodput split per workload class (spec order). */
     std::vector<ClassGoodput> goodputByClass;
-
-    /** What the admission control plane refused or displaced. */
-    ControlPlaneReport control;
 };
 
 } // namespace neon

@@ -6,17 +6,13 @@
  * channel, three key VMAs established by the driver: the command buffer,
  * the ring buffer, and the channel register. A channel becomes
  * schedulable ("active") only once all three have been observed. We
- * model the mmap stream the kernel would see and the per-task address
- * space it populates.
+ * model the mmap stream the kernel would see.
  */
 
 #ifndef NEON_MMIO_ADDRESS_SPACE_HH
 #define NEON_MMIO_ADDRESS_SPACE_HH
 
 #include <cstdint>
-#include <vector>
-
-#include "sim/types.hh"
 
 namespace neon
 {
@@ -31,47 +27,6 @@ struct Vma
     int channelId;
     std::uint64_t base;
     std::uint64_t size;
-};
-
-/**
- * Per-task collection of device-related VMAs.
- */
-class AddressSpace
-{
-  public:
-    /** Record a new mapping; returns the stored VMA. */
-    const Vma &
-    addVma(VmaKind kind, int channel_id, std::uint64_t base,
-           std::uint64_t size)
-    {
-        vmas.push_back({kind, channel_id, base, size});
-        return vmas.back();
-    }
-
-    /** Drop all mappings belonging to @p channel_id (munmap at teardown). */
-    void
-    removeChannel(int channel_id)
-    {
-        std::erase_if(vmas, [channel_id](const Vma &v) {
-            return v.channelId == channel_id;
-        });
-    }
-
-    /** Find a channel's VMA of the given kind, or nullptr. */
-    const Vma *
-    find(int channel_id, VmaKind kind) const
-    {
-        for (const auto &v : vmas) {
-            if (v.channelId == channel_id && v.kind == kind)
-                return &v;
-        }
-        return nullptr;
-    }
-
-    std::size_t size() const { return vmas.size(); }
-
-  private:
-    std::vector<Vma> vmas;
 };
 
 } // namespace neon

@@ -67,6 +67,5 @@
 #include "workload/arrival.hh"
 #include "workload/synthetic_app.hh"
 #include "workload/throttle.hh"
-#include "workload/trace.hh"
 
 #endif // NEON_NEON_HH

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <istream>
 #include <map>
 #include <sstream>
 #include <utility>
@@ -492,6 +494,13 @@ Analyzer::writeOutputs() const
 // Trace replay
 // ----------------------------------------------------------------------
 
+namespace
+{
+
+/**
+ * Map one trace point (name, kind) to a lifecycle event kind. Returns
+ * false for records that are not lifecycle transitions.
+ */
 bool
 sessionEventKindOf(const std::string &name, TraceKind kind,
                    SessionEvent::Kind &out)
@@ -546,25 +555,74 @@ sessionEventKindOf(const std::string &name, TraceKind kind,
     return false;
 }
 
+/**
+ * Minimal field extraction from one exported record line. The format
+ * is machine-written (printRecordJson), so a strict scan for
+ * "key": value is sufficient — no general JSON parser needed.
+ */
+bool
+jsonInt(const std::string &line, const char *key, long long &out)
+{
+    const std::string needle = std::string("\"") + key + "\": ";
+    const std::size_t at = line.find(needle);
+    if (at == std::string::npos)
+        return false;
+    out = std::strtoll(line.c_str() + at + needle.size(), nullptr, 10);
+    return true;
+}
+
+bool
+jsonString(const std::string &line, const char *key, std::string &out)
+{
+    const std::string needle = std::string("\"") + key + "\": \"";
+    const std::size_t at = line.find(needle);
+    if (at == std::string::npos)
+        return false;
+    const std::size_t start = at + needle.size();
+    const std::size_t end = line.find('"', start);
+    if (end == std::string::npos)
+        return false;
+    out = line.substr(start, end - start);
+    return true;
+}
+
+} // namespace
+
 std::vector<SessionEvent>
-sessionEventsFromTrace(const std::vector<TraceRecord> &records)
+sessionEventsFromJsonl(std::istream &in, std::uint64_t *lines)
 {
     std::vector<SessionEvent> out;
-    for (const TraceRecord &r : records) {
-        if (r.session < 0)
+    std::uint64_t n = 0;
+    std::string line;
+    while (std::getline(in, line)) {
+        ++n;
+        long long when = 0, session = -1, kind_num = 0;
+        std::string name;
+        if (!jsonInt(line, "when", when) ||
+            !jsonInt(line, "session", session) ||
+            !jsonInt(line, "kind", kind_num) ||
+            !jsonString(line, "name", name))
+            continue;
+        if (session < 0)
             continue;
         SessionEvent::Kind kind;
-        if (!sessionEventKindOf(traceNameOf(r.name), r.kind, kind))
+        if (!sessionEventKindOf(name, static_cast<TraceKind>(kind_num),
+                                kind))
             continue;
         SessionEvent e;
         e.kind = kind;
-        e.when = r.when;
-        e.session = static_cast<std::uint64_t>(r.session);
-        e.device = r.device;
-        if (kind == SessionEvent::Kind::Arrive)
-            e.cls = static_cast<std::size_t>(r.arg0);
+        e.when = when;
+        e.session = static_cast<std::uint64_t>(session);
+        long long device = -1, arg0 = 0;
+        jsonInt(line, "device", device);
+        e.device = static_cast<std::int32_t>(device);
+        if (kind == SessionEvent::Kind::Arrive &&
+            jsonInt(line, "arg0", arg0))
+            e.cls = static_cast<std::size_t>(arg0);
         out.push_back(e);
     }
+    if (lines)
+        *lines = n;
     return out;
 }
 

@@ -8,7 +8,7 @@
  * service, migration gaps, and fault stall/backoff — driven by the
  * engine's lifecycle SessionEvents (exact by construction; the trace
  * ring can drop under wrap, listener delivery cannot). The same events
- * can be replayed from an exported trace (sessionEventsFromTrace /
+ * can be replayed from an exported trace (sessionEventsFromJsonl /
  * bench_trace_analyze), so post-hoc analysis of a recorded run prints
  * the same report.
  *
@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -265,21 +266,14 @@ class Analyzer
 };
 
 /**
- * Rebuild lifecycle SessionEvents from recorded trace records (Serve +
- * Fault categories): the post-hoc path behind bench_trace_analyze.
- * Exact only when the ring did not drop; records must be in time order
- * (Observer::mergedRecords order).
+ * Rebuild lifecycle SessionEvents from a raw-record JSONL export
+ * (ObserveConfig::recordsJsonlPath, Serve + Fault categories): the
+ * offline path behind bench_trace_analyze. Exact only when the capture
+ * did not drop; lines that are not lifecycle transitions are skipped.
+ * If @p lines is given, it receives the number of lines read.
  */
 std::vector<SessionEvent>
-sessionEventsFromTrace(const std::vector<TraceRecord> &records);
-
-/**
- * Map one trace point (name, kind) to a lifecycle event kind. Returns
- * false for records that are not lifecycle transitions. Shared by the
- * in-process replay above and the JSONL-reading CLI.
- */
-bool sessionEventKindOf(const std::string &name, TraceKind kind,
-                        SessionEvent::Kind &out);
+sessionEventsFromJsonl(std::istream &in, std::uint64_t *lines = nullptr);
 
 } // namespace obs
 } // namespace neon

@@ -59,7 +59,7 @@ AuditLog::recordViolation(const char *name, Tick when, std::int64_t expected,
 }
 
 Auditor::Auditor(EventQueue &q, const AuditConfig &c)
-    : eq(q), cfg(c), log_(c.maxSamples)
+    : eq(q), cfg(c)
 {
 }
 
@@ -139,10 +139,8 @@ registerFleetAudits(Auditor &a, FleetManager &fleet,
 {
     for (std::size_t i = 0; i < fleet.deviceCount(); ++i) {
         const std::string dev = "dev" + std::to_string(i);
-        if (dynamic_cast<VirtualTimeTap *>(fleet.stack(i).sched.get())) {
-            a.addMonotone(dev + ".vtime_monotone", [&fleet, i] {
-                const auto *tap = dynamic_cast<const VirtualTimeTap *>(
-                    fleet.stack(i).sched.get());
+        if (const VirtualTimeTap *tap = fleet.stack(i).vtimeTap) {
+            a.addMonotone(dev + ".vtime_monotone", [tap] {
                 return static_cast<double>(tap->tapSystemVtime());
             });
         }

@@ -46,9 +46,6 @@ struct AuditConfig
 
     /** Periodic check cadence in virtual time (0 = final pass only). */
     Tick period = msec(10);
-
-    /** Violation samples retained for diagnostics (counts never cap). */
-    std::size_t maxSamples = 8;
 };
 
 /** One recorded invariant violation (diagnostic sample). */
@@ -66,7 +63,8 @@ struct AuditReport
     std::uint64_t checks = 0;     ///< individual checks evaluated
     std::uint64_t violations = 0; ///< checks that failed
     std::vector<std::pair<std::string, std::uint64_t>> byCheck;
-    std::vector<AuditViolation> samples; ///< first maxSamples failures
+    /** The first AuditLog::maxSamples failures. */
+    std::vector<AuditViolation> samples;
 
     bool clean() const { return violations == 0; }
     std::string summary() const;
@@ -82,10 +80,8 @@ struct AuditReport
 class AuditLog
 {
   public:
-    explicit AuditLog(std::size_t max_samples = 8)
-        : maxSamples(max_samples)
-    {
-    }
+    /** Violation samples retained for diagnostics (counts never cap). */
+    static constexpr std::size_t maxSamples = 8;
 
     /** Evaluate one invariant; @p name must be a literal/stable string. */
     void
@@ -107,7 +103,6 @@ class AuditLog
     void recordViolation(const char *name, Tick when, std::int64_t expected,
                          std::int64_t actual);
 
-    std::size_t maxSamples;
     std::uint64_t nChecks = 0;
     std::uint64_t nViolations = 0;
     std::map<std::string, std::uint64_t> perCheck; ///< violations by name

@@ -46,12 +46,9 @@ Observer::attachFleet(FleetManager &fleet)
         registry.probe(dev + ".queue_depth", [&fleet, i] {
             return static_cast<double>(fleet.loadViews()[i].assignedTasks);
         });
-        if (dynamic_cast<VirtualTimeTap *>(fleet.stack(i).sched.get())) {
-            registry.probe(dev + ".norm_vtime_ms", [&fleet, i] {
-                const auto *tap = dynamic_cast<const VirtualTimeTap *>(
-                    fleet.stack(i).sched.get());
-                const double speed =
-                    fleet.stack(i).device.config().speedFactor;
+        if (const VirtualTimeTap *tap = fleet.stack(i).vtimeTap) {
+            const double speed = fleet.stack(i).device.config().speedFactor;
+            registry.probe(dev + ".norm_vtime_ms", [tap, speed] {
                 return toMsec(tap->tapSystemVtime()) * speed;
             });
         }
@@ -60,8 +57,7 @@ Observer::attachFleet(FleetManager &fleet)
         double lo = 0.0, hi = 0.0;
         bool any = false;
         for (std::size_t i = 0; i < fleet.deviceCount(); ++i) {
-            const auto *tap = dynamic_cast<const VirtualTimeTap *>(
-                fleet.stack(i).sched.get());
+            const VirtualTimeTap *tap = fleet.stack(i).vtimeTap;
             if (!tap)
                 continue;
             const double norm = toMsec(tap->tapSystemVtime()) *

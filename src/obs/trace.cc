@@ -27,36 +27,6 @@ traceCategoryName(TraceCategory c)
     return "?";
 }
 
-std::uint32_t
-parseTraceCategories(const std::string &spec)
-{
-    std::uint32_t mask = 0;
-    std::size_t pos = 0;
-    while (pos <= spec.size()) {
-        std::size_t comma = spec.find(',', pos);
-        if (comma == std::string::npos)
-            comma = spec.size();
-        const std::string tok = spec.substr(pos, comma - pos);
-        pos = comma + 1;
-        if (tok.empty())
-            continue;
-        if (tok == "all") {
-            mask |= allTraceCategories;
-            continue;
-        }
-        if (tok == "default") {
-            mask |= defaultTraceCategories;
-            continue;
-        }
-        for (std::uint32_t bit = 0; bit < 8; ++bit) {
-            const auto c = static_cast<TraceCategory>(1u << bit);
-            if (tok == traceCategoryName(c))
-                mask |= (1u << bit);
-        }
-    }
-    return mask;
-}
-
 namespace
 {
 
@@ -107,14 +77,6 @@ traceNameOf(std::uint16_t id)
     if (id >= t.names.size())
         panic("unknown interned trace name id ", id);
     return t.names[id];
-}
-
-std::size_t
-traceNameCount()
-{
-    auto &t = interns();
-    std::lock_guard<std::mutex> lock(t.mtx);
-    return t.names.size();
 }
 
 TraceRecorder::TraceRecorder(std::size_t capacity)

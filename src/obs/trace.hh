@@ -38,7 +38,7 @@ namespace obs
 /** Trace categories: one bit each, combinable into a mask. */
 enum class TraceCategory : std::uint32_t
 {
-    SimCore = 1u << 0, ///< event-queue step / carve / compaction
+    SimCore = 1u << 0, ///< event-queue step / compaction
     Sched = 1u << 1,   ///< engage/disengage, timeslice, vtime, denial
     Kernel = 1u << 2,  ///< doorbell, park/release, poll, channel, kill
     Device = 1u << 3,  ///< execute/DMA engine dispatch and completion
@@ -63,12 +63,6 @@ constexpr std::uint32_t allTraceCategories = (1u << 8) - 1;
 
 /** Short display name of one category ("sched", "serve", ...). */
 const char *traceCategoryName(TraceCategory c);
-
-/**
- * Parse a comma-separated category list ("sched,serve", "all",
- * "default") into a mask; unknown names are ignored.
- */
-std::uint32_t parseTraceCategories(const std::string &spec);
 
 /** What a trace record marks. */
 enum class TraceKind : std::uint8_t
@@ -125,9 +119,6 @@ std::uint16_t internTraceName(const char *name);
 
 /** The string behind an interned id (panics on an unknown id). */
 const std::string &traceNameOf(std::uint16_t id);
-
-/** Number of names interned so far (tests). */
-std::size_t traceNameCount();
 
 /**
  * Fixed-capacity ring of trace records. Writes are O(1) and never

@@ -2,11 +2,10 @@
  * @file
  * The kernel polling-thread service.
  *
- * Periodically (or at the scheduler's prompt) iterates over kernel-
- * resident structures looking for reference-counter updates that
- * indicate request completion. Here the iteration itself is the
- * scheduler's onPoll hook; this class supplies the timing: a periodic
- * tick plus on-demand prompts.
+ * Periodically iterates over kernel-resident structures looking for
+ * reference-counter updates that indicate request completion. Here the
+ * iteration itself is the scheduler's onPoll hook; this class supplies
+ * the timing: a periodic tick.
  */
 
 #ifndef NEON_OS_POLLING_SERVICE_HH
@@ -20,7 +19,7 @@
 namespace neon
 {
 
-/** Periodic + prompted invocation of a completion-scan callback. */
+/** Periodic invocation of a completion-scan callback. */
 class PollingService
 {
   public:
@@ -68,21 +67,6 @@ class PollingService
             eq.cancel(pending);
             pending = invalidEventId;
         }
-    }
-
-    /**
-     * Prompt an immediate poll (the "at the scheduler's prompt" path);
-     * resets the periodic phase so the next periodic poll is one full
-     * period away.
-     */
-    void
-    promptNow()
-    {
-        if (!running)
-            return;
-        if (pending != invalidEventId)
-            eq.cancel(pending);
-        pending = eq.scheduleIn(0, [this] { fire(); });
     }
 
   private:

@@ -67,7 +67,7 @@ class Scheduler
     virtual FaultDecision
     onSubmitFault(Task &task, Channel &channel, const GpuRequest &req) = 0;
 
-    /** Polling-service tick (period or prompted). */
+    /** Polling-service tick. */
     virtual void onPoll(Tick now) { (void)now; }
 
   protected:

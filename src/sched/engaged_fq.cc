@@ -28,17 +28,10 @@ EngagedFairQueueing::stateOf(int pid)
 }
 
 Tick
-EngagedFairQueueing::finishTagOf(int pid) const
+EngagedFairQueueing::tapTaskVtime(int pid) const
 {
     auto it = tasks.find(pid);
     return it == tasks.end() ? 0 : it->second.finishTag;
-}
-
-Tick
-EngagedFairQueueing::estimateOf(int pid) const
-{
-    auto it = tasks.find(pid);
-    return it == tasks.end() ? 0 : it->second.estSize;
 }
 
 void

@@ -64,12 +64,11 @@ class EngagedFairQueueing : public Scheduler, public VirtualTimeTap
     void onPoll(Tick now) override;
 
     Tick systemVtime() const { return sysV; }
-    Tick finishTagOf(int pid) const;
-    Tick estimateOf(int pid) const;
 
-    // VirtualTimeTap (cross-device aggregation).
+    // VirtualTimeTap (cross-device aggregation); a task's vtime is its
+    // finish tag.
     Tick tapSystemVtime() const override { return sysV; }
-    Tick tapTaskVtime(int pid) const override { return finishTagOf(pid); }
+    Tick tapTaskVtime(int pid) const override;
 
   private:
     struct TaskState

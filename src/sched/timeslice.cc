@@ -14,13 +14,6 @@ TimesliceScheduler::TimesliceScheduler(KernelModule &kernel,
 {
 }
 
-Tick
-TimesliceScheduler::overuseOf(int pid) const
-{
-    auto it = overuse.find(pid);
-    return it == overuse.end() ? 0 : it->second;
-}
-
 void
 TimesliceScheduler::onChannelActive(Channel &c)
 {
@@ -86,7 +79,8 @@ TimesliceScheduler::grant(Task &t)
     sliceEnd = kernel.eventQueue().now() + cfg.slice;
     NEON_TRACE(obs::TraceCategory::Sched, obs::TraceKind::Begin,
                "ts.slice", obs::TraceIds{kernel.deviceIndex(), t.pid(), -1},
-               cfg.slice, overuseOf(t.pid()));
+               cfg.slice,
+               overuse.contains(t.pid()) ? overuse.at(t.pid()) : Tick(0));
     // One timer per granted slice, for the lifetime of the run.
     auto expiry = [this] { sliceExpired(); };
     static_assert(EventCallback::fitsInline<decltype(expiry)>);

@@ -56,9 +56,6 @@ class TimesliceScheduler : public Scheduler
                                 const GpuRequest &req) override;
     void onPoll(Tick now) override;
 
-    /** Accrued overuse of a task (tests). */
-    Tick overuseOf(int pid) const;
-
     /** Current token holder (tests), nullptr if none. */
     const Task *holder() const { return tokenHolder; }
 

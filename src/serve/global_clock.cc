@@ -24,9 +24,7 @@ GlobalVirtualClock::sample() const
         s.speedFactor = v.speedFactor > 0.0 ? v.speedFactor : 1.0;
         s.liveTasks = v.assignedTasks;
         s.up = v.up;
-        const auto *tap = dynamic_cast<const VirtualTimeTap *>(
-            fleet.stack(v.index).sched.get());
-        if (tap) {
+        if (const VirtualTimeTap *tap = fleet.stack(v.index).vtimeTap) {
             s.hasVtime = true;
             s.vtime = tap->tapSystemVtime();
             s.normVtime = static_cast<Tick>(
@@ -35,21 +33,6 @@ GlobalVirtualClock::sample() const
         out.push_back(s);
     }
     return out;
-}
-
-Tick
-GlobalVirtualClock::fleetVtime() const
-{
-    const std::vector<DeviceClockSample> devices = sample();
-    Tick sum = 0;
-    std::size_t n = 0;
-    for (const DeviceClockSample &d : devices) {
-        if (d.hasVtime) {
-            sum += d.normVtime;
-            ++n;
-        }
-    }
-    return n > 0 ? sum / static_cast<Tick>(n) : 0;
 }
 
 std::size_t

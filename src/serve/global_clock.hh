@@ -70,9 +70,6 @@ class GlobalVirtualClock
     /** Snapshot every device's normalized virtual time and live load. */
     std::vector<DeviceClockSample> sample() const;
 
-    /** The fleet clock: mean normalized vtime across tapped devices. */
-    Tick fleetVtime() const;
-
     /** Steered placement for an admitted session. */
     std::size_t placeSteered() const;
 

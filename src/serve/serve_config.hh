@@ -223,9 +223,6 @@ struct ServeConfig
     /** Only migrate off devices with at least this many live sessions. */
     std::size_t migrationMinTasks = 2;
 
-    /** Ceiling on total migrations (0 = unlimited); stability valve. */
-    std::uint64_t migrationBudget = 0;
-
     /** Recovery policy for sessions evicted by device failure. */
     RetryConfig retry;
 

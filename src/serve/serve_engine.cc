@@ -452,7 +452,6 @@ ServeEngine::retryArrive(std::uint64_t sid)
         return;
     }
 
-    ++nRetries;
     // Past the hopeless-fleet check only: a re-backoff above stays in
     // the stall phase, while this point re-enters the admission queue.
     NEON_TRACE(obs::TraceCategory::Fault, obs::TraceKind::Instant,
@@ -765,8 +764,6 @@ ServeEngine::tryMigrate()
 {
     if (cfg.migrationLag <= 0)
         return;
-    if (cfg.migrationBudget > 0 && nMigrations >= cfg.migrationBudget)
-        return;
 
     const MigrationPlan plan =
         clock.checkMigration(cfg.migrationLag, cfg.migrationMinTasks);
@@ -776,8 +773,7 @@ ServeEngine::tryMigrate()
     // Victim: the source device's locally most-ahead session — under
     // DFQ it is the one most likely to be denied there, and the target
     // device's higher system vtime absorbs it without denial.
-    const auto *tap = dynamic_cast<const VirtualTimeTap *>(
-        fleet.stack(plan.from).sched.get());
+    const VirtualTimeTap *tap = fleet.stack(plan.from).vtimeTap;
     SessionRecord *victim = nullptr;
     Tick victim_v = 0;
     // The placed table holds exactly the open incarnations, so this

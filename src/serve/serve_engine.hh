@@ -202,16 +202,12 @@ class ServeEngine
     const ServeConfig &config() const { return cfg; }
     const std::vector<ServeClass> &workloadClasses() const { return classes; }
     const AdmissionController &admissionState() const { return adm; }
-    const GlobalVirtualClock &globalClock() const { return clock; }
-    const TenantRateLimiter &rateLimiter() const { return limiter; }
-    const SloAdmission &shedModel() const { return shedder; }
 
     std::uint64_t arrivalsSeen() const { return nArrivals; }
     std::uint64_t departures() const { return nDepartures; }
     std::uint64_t killedSessions() const { return nKilled; }
     std::uint64_t migrationCount() const { return nMigrations; }
     std::uint64_t evictedSessions() const { return nEvicted; }
-    std::uint64_t retryAttempts() const { return nRetries; }
     std::uint64_t failoverCount() const { return nFailovers; }
     std::uint64_t shedSessions() const { return nShed; }
     std::uint64_t throttledSessions() const { return nThrottled; }
@@ -306,7 +302,6 @@ class ServeEngine
     std::uint64_t nKilled = 0;
     std::uint64_t nMigrations = 0;
     std::uint64_t nEvicted = 0;
-    std::uint64_t nRetries = 0;
     std::uint64_t nFailovers = 0;
     std::uint64_t nShed = 0;
     std::uint64_t nShedPredicted = 0;

@@ -27,29 +27,13 @@ EventQueue::growPool()
 }
 
 void
-EventQueue::carve()
-{
-    // Move the staging heap wholesale into the consume batch and sort
-    // it descending, so execution pops live entries off the back in
-    // O(1). The two vectors swap storage, so capacity is recycled and
-    // steady-state carving performs no allocation.
-    batch.swap(heap);
-    std::sort(batch.begin(), batch.end(),
-              [](const Entry &a, const Entry &b) { return earlier(b, a); });
-    NEON_TRACE(obs::TraceCategory::SimCore, obs::TraceKind::Instant,
-               "eq.carve", obs::TraceIds{}, batch.size(), nStale);
-}
-
-void
 EventQueue::compact()
 {
     const auto stale = [this](const Entry &e) { return !isLive(e); };
     heap.erase(std::remove_if(heap.begin(), heap.end(), stale),
                heap.end());
-    // remove_if preserves relative order, so the batch stays sorted
-    // and the lane stays FIFO (its consumed prefix goes too).
-    batch.erase(std::remove_if(batch.begin(), batch.end(), stale),
-                batch.end());
+    // remove_if preserves relative order, so the lane stays FIFO (its
+    // consumed prefix goes too).
     lane.erase(std::remove_if(lane.begin() + static_cast<std::ptrdiff_t>(
                                                  laneHead),
                               lane.end(), stale),

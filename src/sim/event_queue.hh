@@ -13,23 +13,16 @@
  *    event slots, recycled LIFO through a free list. The pool grows in
  *    fixed-size chunks so existing slots never move (no relocation of
  *    live callbacks, stable addresses).
- *  - The ready queue has three tiers over packed 16-byte
+ *  - The ready queue has two tiers over packed 16-byte
  *    (tick, sequence|slot) entries. An event scheduled for the current
  *    tick goes to a FIFO lane and never touches the heap: on the
  *    serving workloads that is 42-45% of all events (process resumes
- *    after every doorbell and completion, prompted polls, deferred
- *    scheduler and serve actions). Every other event goes to a
- *    cache-friendly 4-ary heap, and whenever the consume side runs
- *    dry the whole heap is carved into a sorted batch consumed
- *    back-to-front in O(1) — one sequential sort is several times
- *    cheaper per element than the equivalent series of heap pops. On
- *    the serving workloads the batch serves well under 1% of pops:
- *    far-future events (departures, arrivals, clock ticks) keep it
- *    from running dry. Execution always takes the earliest of (lane
- *    front, batch back, heap top), so the observable order is
- *    identical to a single priority queue: a lane entry carries the
- *    newest sequence number, so it runs after every event already
- *    queued for its tick.
+ *    after every doorbell and completion, deferred scheduler and serve
+ *    actions). Every other event goes to a cache-friendly 4-ary heap.
+ *    Execution always takes the earlier of (lane front, heap top), so
+ *    the observable order is identical to a single priority queue: a
+ *    lane entry carries the newest sequence number, so it runs after
+ *    every event already queued for its tick.
  *  - Cancellation is O(1): the event's slot is recycled immediately
  *    and its queue entry goes stale, detected by a generation check
  *    (the slot remembers the unique sequence key of the event it
@@ -82,8 +75,13 @@ using EventCallback = InlineFunction<void(), 64>;
  * Callbacks run strictly in (when, insertion order). Scheduling an
  * event in the past is an internal error (panic); scheduling at the
  * current tick runs the event after the currently executing one.
+ *
+ * Cache-line aligned: the sharded core runs each shard's queue on its
+ * own worker thread, and queues allocated back to back would otherwise
+ * share a line, so every event would write a line another core is
+ * writing too.
  */
-class EventQueue
+class alignas(64) EventQueue
 {
   public:
     EventQueue() = default;
@@ -260,10 +258,6 @@ class EventQueue
     // the amortized per-cancel cost O(1).
     static constexpr std::size_t compactMinStale = 64;
 
-    // Don't carve tiny heaps into sorted batches; below this many
-    // entries plain heap pops win over the sort call.
-    static constexpr std::size_t carveMin = 64;
-
     /** One pooled callback slot; key == 0 marks the slot free. */
     struct Slot
     {
@@ -329,11 +323,11 @@ class EventQueue
         freeHead = idx + 1;
     }
 
-    /** Entries in all three tiers, stale ones included. */
+    /** Entries in both tiers, stale ones included. */
     std::size_t
     queued() const
     {
-        return heap.size() + batch.size() + (lane.size() - laneHead);
+        return heap.size() + (lane.size() - laneHead);
     }
 
     bool laneEmpty() const { return laneHead == lane.size(); }
@@ -425,31 +419,15 @@ class EventQueue
         }
     }
 
-    /** Drop stale entries off the batch back; true if one remains. */
-    bool
-    pruneBatchBack()
-    {
-        for (;;) {
-            if (batch.empty())
-                return false;
-            if (isLive(batch.back())) [[likely]]
-                return true;
-            batch.pop_back();
-            --nStale;
-        }
-    }
-
     /**
-     * True if the lane front precedes both other tiers' heads. It
-     * loses only to an older event for the same tick, scheduled
-     * before the tick began.
+     * True if the lane front precedes the heap top. It loses only to
+     * an older event for the same tick, scheduled before the tick
+     * began.
      */
     bool
     laneFrontFirst() const
     {
-        const Entry &l = lane[laneHead];
-        return (batch.empty() || earlier(l, batch.back())) &&
-            (heap.empty() || earlier(l, heap[0]));
+        return heap.empty() || earlier(lane[laneHead], heap[0]);
     }
 
     /**
@@ -462,34 +440,17 @@ class EventQueue
     {
         if (nStale != 0) [[unlikely]] {
             pruneLaneFront();
-            pruneBatchBack();
             pruneHeapTop();
         }
-        if (batch.empty() && heap.size() >= carveMin) {
-            carve();
-            if (nStale != 0) [[unlikely]]
-                pruneBatchBack(); // carve may surface stale entries
-        }
-
         if (!laneEmpty() && laneFrontFirst()) {
             out = lane[laneHead];
             laneDropFront();
             return true;
         }
-        if (batch.empty()) {
-            if (heap.empty())
-                return false;
-            out = heap[0];
-            heapPopTop();
-            return true;
-        }
-        if (!heap.empty() && earlier(heap[0], batch.back())) {
-            out = heap[0];
-            heapPopTop();
-            return true;
-        }
-        out = batch.back();
-        batch.pop_back();
+        if (heap.empty())
+            return false;
+        out = heap[0];
+        heapPopTop();
         return true;
     }
 
@@ -499,27 +460,19 @@ class EventQueue
     {
         if (nStale != 0) [[unlikely]] {
             pruneLaneFront();
-            pruneBatchBack();
             pruneHeapTop();
         }
         if (!laneEmpty() && laneFrontFirst()) {
             when = lane[laneHead].when;
             return true;
         }
-        if (batch.empty()) {
-            if (heap.empty())
-                return false;
-            when = heap[0].when;
-            return true;
-        }
-        when = !heap.empty() && earlier(heap[0], batch.back())
-            ? heap[0].when
-            : batch.back().when;
+        if (heap.empty())
+            return false;
+        when = heap[0].when;
         return true;
     }
 
     std::uint32_t growPool();
-    void carve();
     void compact();
 
     Tick curTick = 0;
@@ -532,9 +485,8 @@ class EventQueue
     std::size_t nSlots = 0;     ///< slots allocated across all chunks
     std::uint32_t freeHead = 0; ///< free-list head (index + 1); 0 = empty
 
-    std::vector<Entry> heap;  ///< staging tier (arbitrary inserts)
-    std::vector<Entry> batch; ///< consume tier, sorted descending
-    std::vector<Entry> lane;  ///< same-tick FIFO, consumed from laneHead
+    std::vector<Entry> heap; ///< future events (4-ary min-heap)
+    std::vector<Entry> lane; ///< same-tick FIFO, consumed from laneHead
     std::size_t laneHead = 0;
     std::vector<std::unique_ptr<Slot[]>> chunks;
 };

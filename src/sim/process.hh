@@ -3,7 +3,7 @@
  * Simulated process: a coroutine driven by the event queue.
  *
  * A Process runs a Co body. The body suspends through awaitables created
- * by the process (sleepFor, park) or by higher layers (GPU submission,
+ * by the process (sleepFor) or by higher layers (GPU submission,
  * completion waits). All resumptions are funnelled through resumeAt() so
  * that a killed process is never resumed again.
  */
@@ -108,27 +108,8 @@ class Process
         void await_resume() const {}
     };
 
-    /** Awaitable: suspend until some external agent calls resumeAt(). */
-    struct ParkAwaitable
-    {
-        Process &proc;
-
-        bool await_ready() const { return false; }
-
-        void
-        await_suspend(std::coroutine_handle<> h)
-        {
-            proc.suspended(h);
-        }
-
-        void await_resume() const {}
-    };
-
     /** Suspend the body for @p d ticks of simulated time. */
     SleepAwaitable sleepFor(Tick d) { return {*this, d}; }
-
-    /** Suspend the body until an external wakeup. */
-    ParkAwaitable park() { return {*this}; }
 
   private:
     void stepBody();

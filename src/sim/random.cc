@@ -56,12 +56,6 @@ Rng::uniform()
     return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
-double
-Rng::uniform(double lo, double hi)
-{
-    return lo + (hi - lo) * uniform();
-}
-
 std::int64_t
 Rng::uniformInt(std::int64_t lo, std::int64_t hi)
 {
@@ -91,12 +85,6 @@ Rng::normal()
         u1 = 0x1.0p-53;
     return std::sqrt(-2.0 * std::log(u1)) *
         std::cos(2.0 * M_PI * u2);
-}
-
-double
-Rng::normal(double mean, double stddev)
-{
-    return mean + stddev * normal();
 }
 
 double

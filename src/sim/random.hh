@@ -27,9 +27,6 @@ class Rng
     /** Uniform double in [0, 1). */
     double uniform();
 
-    /** Uniform double in [lo, hi). */
-    double uniform(double lo, double hi);
-
     /** Uniform integer in [lo, hi] inclusive. */
     std::int64_t uniformInt(std::int64_t lo, std::int64_t hi);
 
@@ -38,9 +35,6 @@ class Rng
 
     /** Standard normal via Box-Muller (deterministic, stateless pairs). */
     double normal();
-
-    /** Normal with mean/stddev. */
-    double normal(double mean, double stddev);
 
     /**
      * Lognormal parameterized by its (arithmetic) mean and coefficient

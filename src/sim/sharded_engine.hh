@@ -136,8 +136,6 @@ class ShardedEngine
         return nShards > 1 ? *queues[s] : control;
     }
 
-    EventQueue &controlQueue() { return control; }
-
     /** Coordinator time (== every shard's time between windows). */
     Tick now() const { return control.now(); }
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
-#include <sstream>
 
 namespace neon
 {
@@ -12,54 +10,8 @@ void
 Accum::add(double v)
 {
     ++n;
-    sum += v;
     const double d = v - m;
     m += d / static_cast<double>(n);
-    m2 += d * (v - m);
-    lo = std::min(lo, v);
-    hi = std::max(hi, v);
-}
-
-void
-Accum::merge(const Accum &o)
-{
-    if (o.n == 0)
-        return;
-    if (n == 0) {
-        *this = o;
-        return;
-    }
-
-    const double na = static_cast<double>(n);
-    const double nb = static_cast<double>(o.n);
-    const double d = o.m - m;
-    m2 += o.m2 + d * d * (na * nb / (na + nb));
-    m += d * (nb / (na + nb));
-    n += o.n;
-    sum += o.sum;
-    lo = std::min(lo, o.lo);
-    hi = std::max(hi, o.hi);
-}
-
-void
-Accum::reset()
-{
-    *this = Accum();
-}
-
-double
-Accum::variance() const
-{
-    if (n < 2)
-        return 0.0;
-    const double v = m2 / static_cast<double>(n - 1);
-    return v > 0.0 ? v : 0.0;
-}
-
-double
-Accum::stddev() const
-{
-    return std::sqrt(variance());
 }
 
 Log2Histogram::Log2Histogram(unsigned max_bin) : bins(max_bin + 1, 0)
@@ -82,13 +34,6 @@ Log2Histogram::add(double value_us)
     ++n;
 }
 
-void
-Log2Histogram::reset()
-{
-    std::fill(bins.begin(), bins.end(), 0);
-    n = 0;
-}
-
 std::uint64_t
 Log2Histogram::binCount(unsigned b) const
 {
@@ -104,18 +49,6 @@ Log2Histogram::cdfPercent(unsigned b) const
     for (unsigned i = 0; i <= b && i < bins.size(); ++i)
         acc += bins[i];
     return 100.0 * static_cast<double>(acc) / static_cast<double>(n);
-}
-
-std::string
-Log2Histogram::format() const
-{
-    std::ostringstream os;
-    for (unsigned b = 0; b <= maxBin(); ++b) {
-        os << b << " " << cdfPercent(b) << "\n";
-        if (cdfPercent(b) >= 100.0)
-            break;
-    }
-    return os.str();
 }
 
 } // namespace neon

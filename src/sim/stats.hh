@@ -1,15 +1,13 @@
 /**
  * @file
- * Statistics primitives: running accumulators and log2-binned
- * histograms matching the paper's Figure 2 presentation.
+ * Statistics primitives: running means and log2-binned histograms
+ * matching the paper's Figure 2 presentation.
  */
 
 #ifndef NEON_SIM_STATS_HH
 #define NEON_SIM_STATS_HH
 
 #include <cstdint>
-#include <limits>
-#include <string>
 #include <vector>
 
 #include "sim/types.hh"
@@ -18,35 +16,24 @@ namespace neon
 {
 
 /**
- * Running mean/min/max/stddev accumulator.
+ * Running count and mean.
  *
- * Uses Welford's online algorithm (and Chan et al.'s pairwise update
- * for merge): the naive sum/sum-of-squares formulation cancels
- * catastrophically when the mean is large relative to the spread —
- * e.g. microsecond jitter on top of multi-second timestamps.
+ * The mean is Welford's online update, m += (v - m) / n, rather than a
+ * sum divided at read time: the two round differently, and every
+ * printed mean round time comes from this one.
  */
 class Accum
 {
   public:
     void add(double v);
-    void merge(const Accum &o);
-    void reset();
+    void reset() { *this = Accum(); }
 
     std::uint64_t count() const { return n; }
-    double total() const { return sum; }
     double mean() const { return n ? m : 0.0; }
-    double minimum() const { return n ? lo : 0.0; }
-    double maximum() const { return n ? hi : 0.0; }
-    double variance() const;
-    double stddev() const;
 
   private:
     std::uint64_t n = 0;
-    double sum = 0.0; ///< kept exactly for total()
-    double m = 0.0;   ///< running mean
-    double m2 = 0.0;  ///< sum of squared deviations from the mean
-    double lo = std::numeric_limits<double>::infinity();
-    double hi = -std::numeric_limits<double>::infinity();
+    double m = 0.0; ///< running mean
 };
 
 /**
@@ -60,7 +47,6 @@ class Log2Histogram
     explicit Log2Histogram(unsigned max_bin = 20);
 
     void add(double value_us);
-    void reset();
 
     unsigned maxBin() const { return unsigned(bins.size()) - 1; }
     std::uint64_t binCount(unsigned b) const;
@@ -69,19 +55,9 @@ class Log2Histogram
     /** Fraction of samples in bins [0, b], in percent. */
     double cdfPercent(unsigned b) const;
 
-    /** Render "bin cdf%" rows, one per line. */
-    std::string format() const;
-
   private:
     std::vector<std::uint64_t> bins;
     std::uint64_t n = 0;
-};
-
-/** Simple named-series container used by benches to print tables. */
-struct Series
-{
-    std::string name;
-    std::vector<double> values;
 };
 
 } // namespace neon

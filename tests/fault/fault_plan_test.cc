@@ -140,12 +140,5 @@ TEST(FaultPlan, GenerationDoesNotPerturbWorkloadStreams)
         EXPECT_EQ(after.next(), clean[static_cast<std::size_t>(i)]);
 }
 
-TEST(FaultPlan, KindNames)
-{
-    EXPECT_STREQ(faultKindName(FaultKind::DeviceStall), "stall");
-    EXPECT_STREQ(faultKindName(FaultKind::DeviceDeath), "death");
-    EXPECT_STREQ(faultKindName(FaultKind::ChannelHang), "hang");
-}
-
 } // namespace
 } // namespace neon

@@ -67,26 +67,5 @@ TEST(TableNum, SignificantDigits)
     EXPECT_EQ(Table::num(0.000123456, 2), "0.00");
 }
 
-TEST(Table, PrintCsvEscapesOnlyWhenNeeded)
-{
-    Table t({"name", "value", "note"});
-    t.addRow({"alpha", "1.5", "plain"});
-    t.addRow({"beta", "2.5", "has,comma"});
-    t.addRow({"gamma", "3.5", "has\"quote"});
-
-    std::ostringstream os;
-    t.printCsv(os);
-    std::istringstream is(os.str());
-    std::string line;
-    ASSERT_TRUE(std::getline(is, line));
-    EXPECT_EQ(line, "name,value,note");
-    ASSERT_TRUE(std::getline(is, line));
-    EXPECT_EQ(line, "alpha,1.5,plain");
-    ASSERT_TRUE(std::getline(is, line));
-    EXPECT_EQ(line, "beta,2.5,\"has,comma\"");
-    ASSERT_TRUE(std::getline(is, line));
-    EXPECT_EQ(line, "gamma,3.5,\"has\"\"quote\"");
-}
-
 } // namespace
 } // namespace neon

@@ -13,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -251,15 +253,18 @@ TEST(Analyze, PhasePartitionExactUnderScriptedFaults)
 
 TEST(Analyze, TraceReplayMatchesDirectAttribution)
 {
-    // Recording the run and replaying the exported lifecycle records
-    // through a fresh PhaseTracker must reproduce the in-process
-    // attribution exactly (the capture is sized to be drop-free).
+    // Recording the run to the raw-record JSONL export and replaying
+    // it, as bench_trace_analyze does, through a fresh PhaseTracker
+    // must reproduce the in-process attribution exactly (the capture
+    // is sized to be drop-free).
     for (Scenario &sc : scenarios()) {
         SCOPED_TRACE(sc.name);
         ExperimentConfig &cfg = sc.cfg;
         cfg.observe.analyze.phases = true;
         cfg.observe.categories = defaultTraceCategories;
         cfg.observe.bufferCapacity = std::size_t(1) << 20;
+        cfg.observe.recordsJsonlPath =
+            ::testing::TempDir() + "analyze_replay_" + sc.name + ".jsonl";
 
         ServeWorld world(cfg, sc.specs);
         world.start();
@@ -267,9 +272,13 @@ TEST(Analyze, TraceReplayMatchesDirectAttribution)
         const ServeRunResult r = world.results();
         ASSERT_NE(world.observer, nullptr);
         ASSERT_EQ(r.traceDrops, 0u) << "capture must be exact for replay";
+        world.observer->writeOutputs();
 
-        const std::vector<SessionEvent> events =
-            sessionEventsFromTrace(world.observer->mergedRecords());
+        std::ifstream in(cfg.observe.recordsJsonlPath);
+        ASSERT_TRUE(in) << cfg.observe.recordsJsonlPath;
+        const std::vector<SessionEvent> events = sessionEventsFromJsonl(in);
+        in.close();
+        std::remove(cfg.observe.recordsJsonlPath.c_str());
         ASSERT_FALSE(events.empty());
 
         PhaseTracker replay;

@@ -26,29 +26,31 @@ using namespace obs;
 
 TEST(AuditLog, CountsChecksAndCapsSamples)
 {
-    AuditLog log(2);
+    static_assert(AuditLog::maxSamples == 8);
+    AuditLog log;
     for (int i = 0; i < 3; ++i)
         log.check(true, "fine", i);
     log.check(false, "bad_a", 10, 5, 4);
-    log.check(false, "bad_a", 11, 5, 3);
-    log.check(false, "bad_b", 12, 1, 0);
-    log.check(false, "bad_b", 13, 2, 0);
+    for (int i = 0; i < 5; ++i)
+        log.check(false, "bad_a", 11 + i, 5, 3);
+    for (int i = 0; i < 6; ++i)
+        log.check(false, "bad_b", 20 + i, 1, 0);
 
-    EXPECT_EQ(log.checks(), 7u);
-    EXPECT_EQ(log.violations(), 4u);
+    EXPECT_EQ(log.checks(), 15u);
+    EXPECT_EQ(log.violations(), 12u);
 
     const AuditReport r = log.report();
     EXPECT_FALSE(r.clean());
-    EXPECT_EQ(r.checks, 7u);
-    EXPECT_EQ(r.violations, 4u);
+    EXPECT_EQ(r.checks, 15u);
+    EXPECT_EQ(r.violations, 12u);
 
     // Counts are exact per check name; samples cap at the limit.
     ASSERT_EQ(r.byCheck.size(), 2u);
     EXPECT_EQ(r.byCheck[0].first, "bad_a");
-    EXPECT_EQ(r.byCheck[0].second, 2u);
+    EXPECT_EQ(r.byCheck[0].second, 6u);
     EXPECT_EQ(r.byCheck[1].first, "bad_b");
-    EXPECT_EQ(r.byCheck[1].second, 2u);
-    ASSERT_EQ(r.samples.size(), 2u);
+    EXPECT_EQ(r.byCheck[1].second, 6u);
+    ASSERT_EQ(r.samples.size(), AuditLog::maxSamples);
     EXPECT_EQ(r.samples[0].check, "bad_a");
     EXPECT_EQ(r.samples[0].when, 10);
     EXPECT_EQ(r.samples[0].expected, 5);

@@ -144,19 +144,6 @@ TEST(TraceSink, UninstallDeactivatesEveryCategory)
     }
 }
 
-TEST(TraceCategories, ParseSpecs)
-{
-    EXPECT_EQ(parseTraceCategories("all"), allTraceCategories);
-    EXPECT_EQ(parseTraceCategories("default"), defaultTraceCategories);
-    EXPECT_EQ(parseTraceCategories("sched"),
-              static_cast<std::uint32_t>(TraceCategory::Sched));
-    EXPECT_EQ(parseTraceCategories("sched,serve"),
-              static_cast<std::uint32_t>(TraceCategory::Sched) |
-                  static_cast<std::uint32_t>(TraceCategory::Serve));
-    EXPECT_EQ(parseTraceCategories("bogus"), 0u);
-    EXPECT_EQ(parseTraceCategories(""), 0u);
-}
-
 TEST(TraceRecord, StaysPodLean)
 {
     static_assert(sizeof(TraceRecord) == 40);

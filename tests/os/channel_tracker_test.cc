@@ -90,21 +90,5 @@ TEST(ChannelTracker, ForgetResetsChannel)
     EXPECT_EQ(t.trackedCount(), 0u);
 }
 
-TEST(AddressSpace, FindAndRemove)
-{
-    AddressSpace as;
-    as.addVma(VmaKind::CommandBuffer, 1, 0x1000, 0x4000);
-    as.addVma(VmaKind::RingBuffer, 1, 0x5000, 0x1000);
-    as.addVma(VmaKind::CommandBuffer, 2, 0x9000, 0x4000);
-
-    ASSERT_NE(as.find(1, VmaKind::CommandBuffer), nullptr);
-    EXPECT_EQ(as.find(1, VmaKind::CommandBuffer)->base, 0x1000u);
-    EXPECT_EQ(as.find(1, VmaKind::ChannelRegister), nullptr);
-
-    as.removeChannel(1);
-    EXPECT_EQ(as.find(1, VmaKind::CommandBuffer), nullptr);
-    EXPECT_EQ(as.size(), 1u);
-}
-
 } // namespace
 } // namespace neon

@@ -40,37 +40,6 @@ TEST(PollingService, StopCeasesTicks)
     EXPECT_EQ(count, 3);
 }
 
-TEST(PollingService, PromptNowFiresImmediatelyAndResetsPhase)
-{
-    EventQueue eq;
-    PollingService poll(eq, msec(1));
-    std::vector<Tick> ticks;
-    poll.onPoll = [&](Tick t) { ticks.push_back(t); };
-    poll.start();
-
-    eq.runUntil(usec(500));
-    poll.promptNow();
-    eq.runUntil(usec(500)); // run the prompted poll at t=500us
-    ASSERT_EQ(ticks.size(), 1u);
-    EXPECT_EQ(ticks[0], usec(500));
-
-    // The next periodic tick is one full period after the prompt.
-    eq.runUntil(usec(1500));
-    ASSERT_EQ(ticks.size(), 2u);
-    EXPECT_EQ(ticks[1], usec(1500));
-}
-
-TEST(PollingService, PromptBeforeStartIsIgnored)
-{
-    EventQueue eq;
-    PollingService poll(eq, msec(1));
-    int count = 0;
-    poll.onPoll = [&](Tick) { ++count; };
-    poll.promptNow();
-    eq.runUntil(msec(2));
-    EXPECT_EQ(count, 0);
-}
-
 TEST(PollingService, SetPeriodTakesEffectOnNextCycle)
 {
     EventQueue eq;

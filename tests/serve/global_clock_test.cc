@@ -138,7 +138,6 @@ TEST(GlobalClock, LiveSampleNormalizesBySpeedFactor)
                   static_cast<Tick>(static_cast<double>(s.vtime) *
                                     s.speedFactor));
     }
-    EXPECT_GT(clock.fleetVtime(), 0);
 }
 
 } // namespace

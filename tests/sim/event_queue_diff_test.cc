@@ -5,8 +5,8 @@
  * Seeded random action sequences drive an EventQueue and an ordered
  * std::set of (when, sequence) side by side: schedules from outside
  * and from inside callbacks (many at delay 0, so they take the
- * same-tick lane, and many at small delays, so several heap and batch
- * entries share a tick with lane entries), cancels of pending, lane,
+ * same-tick lane, and many at small delays, so several heap entries
+ * share a tick with lane entries), cancels of pending, lane,
  * already-run and already-cancelled ids, cancel storms that force
  * compaction, single steps, and runUntil to ticks with and without
  * events. After every action the executed order, now() and pending()
@@ -93,8 +93,8 @@ class DiffHarness
                                         : oracle.begin()->first -
                                             (pick(2) ? 0 : 1));
           case 12:
-            // A backlog burst: deep enough for the heap to carve a
-            // batch, and for the next storm to force compaction.
+            // A backlog burst: deep enough for the next storm to
+            // force compaction.
             if (pick(16) == 0) {
                 for (int i = 0; i < 100; ++i)
                     add(eq.now() + static_cast<Tick>(pick(64)));

@@ -62,10 +62,23 @@ TEST(Process, OnDoneFires)
     EXPECT_TRUE(fired);
 }
 
+/**
+ * Suspends until an external agent calls resumeAt(), the protocol the
+ * task layer's submission and completion awaitables follow.
+ */
+struct ExternalWake
+{
+    Process &proc;
+
+    bool await_ready() const { return false; }
+    void await_suspend(std::coroutine_handle<> h) { proc.suspended(h); }
+    void await_resume() const {}
+};
+
 Co
 parkedBody(Process &p, bool *resumed)
 {
-    co_await p.park();
+    co_await ExternalWake{p};
     *resumed = true;
 }
 

