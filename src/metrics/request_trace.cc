@@ -38,9 +38,8 @@ RequestTrace::attach(GpuDevice &device)
                                   Tick start, Tick end) {
         const int task_id = c.context().taskId();
         auto &pt = slotFor(task_id);
-        const double us = toUsec(end - start);
-        pt.allServiceAccumUs.add(us);
         if (r.awaited) {
+            const double us = toUsec(end - start);
             pt.serviceUs.add(us);
             pt.serviceAccumUs.add(us);
         }

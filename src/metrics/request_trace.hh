@@ -33,7 +33,6 @@ class RequestTrace
         Log2Histogram interArrivalUs{18};
         Log2Histogram serviceUs{14};
         Accum serviceAccumUs;     ///< awaited requests only
-        Accum allServiceAccumUs;  ///< including trivial
         std::uint64_t submissions = 0;
     };
 

@@ -15,6 +15,10 @@ KernelModule::KernelModule(EventQueue &eq, GpuDevice &device,
                            const ChannelPolicy &policy)
     : eq(eq), dev(device), cost(costs), policy(policy), poller(eq)
 {
+    // Every direct submission, and every intercepted one that finds
+    // its channel empty, schedules its delivery this far ahead.
+    eq.declareLane(cost.directDoorbellWrite);
+    eq.declareLane(cost.faultPath(0));
     poller.onPoll = [this](Tick now) {
         NEON_TRACE(obs::TraceCategory::Kernel, obs::TraceKind::Instant,
                    "kern.poll", obs::TraceIds{deviceIndex(), -1, -1},

@@ -41,6 +41,7 @@ class PollingService
     {
         pollPeriod = p;
         if (running && pending != invalidEventId) {
+            eq.declareLane(pollPeriod);
             eq.cancel(pending);
             scheduleNext();
         }
@@ -56,6 +57,8 @@ class PollingService
         if (running)
             return;
         running = true;
+        // Every tick is one period after the last, for the whole run.
+        eq.declareLane(pollPeriod);
         scheduleNext();
     }
 

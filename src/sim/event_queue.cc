@@ -27,20 +27,40 @@ EventQueue::growPool()
 }
 
 void
+EventQueue::Lane::grow()
+{
+    // Double (64 entries at first) and unwrap into the new ring. The
+    // slot pool's 2^20 cap and compaction keep a lane far below 2^32.
+    const std::uint32_t n = size();
+    const std::uint32_t cap = capacity == 0 ? 64 : capacity * 2;
+    auto grown = std::make_unique<Entry[]>(cap);
+    for (std::uint32_t i = 0; i < n; ++i)
+        grown[i] = ring[(head + i) & mask];
+    ring = std::move(grown);
+    capacity = cap;
+    mask = cap - 1;
+    head = 0;
+    tail = n;
+}
+
+void
 EventQueue::compact()
 {
     const auto stale = [this](const Entry &e) { return !isLive(e); };
     heap.erase(std::remove_if(heap.begin(), heap.end(), stale),
                heap.end());
-    // remove_if preserves relative order, so the lane stays FIFO (its
-    // consumed prefix goes too).
-    lane.erase(std::remove_if(lane.begin() + static_cast<std::ptrdiff_t>(
-                                                 laneHead),
-                              lane.end(), stale),
-               lane.end());
-    lane.erase(lane.begin(),
-               lane.begin() + static_cast<std::ptrdiff_t>(laneHead));
-    laneHead = 0;
+    // Slide each lane's live entries toward its head, in order; the
+    // write cursor never passes the read cursor.
+    for (unsigned k = 0; k < nLanes; ++k) {
+        Lane &l = lanes[k];
+        std::uint32_t w = l.head;
+        for (std::uint32_t r = l.head; r != l.tail; ++r) {
+            const Entry &e = l.ring[r & l.mask];
+            if (isLive(e))
+                l.ring[w++ & l.mask] = e;
+        }
+        l.tail = w;
+    }
     NEON_TRACE(obs::TraceCategory::SimCore, obs::TraceKind::Instant,
                "eq.compact", obs::TraceIds{}, nStale, queued());
     nStale = 0;

@@ -13,31 +13,45 @@
  *    event slots, recycled LIFO through a free list. The pool grows in
  *    fixed-size chunks so existing slots never move (no relocation of
  *    live callbacks, stable addresses).
- *  - The ready queue has two tiers over packed 16-byte
- *    (tick, sequence|slot) entries. An event scheduled for the current
- *    tick goes to a FIFO lane and never touches the heap: on the
- *    serving workloads that is 42-45% of all events (process resumes
- *    after every doorbell and completion, deferred scheduler and serve
- *    actions). Every other event goes to a cache-friendly 4-ary heap.
- *    Execution always takes the earlier of (lane front, heap top), so
- *    the observable order is identical to a single priority queue: a
- *    lane entry carries the newest sequence number, so it runs after
- *    every event already queued for its tick.
+ *  - The ready queue holds packed 16-byte (tick, sequence|slot)
+ *    entries in FIFO lanes and one 4-ary heap. Each lane serves one
+ *    fixed delay: an event scheduled exactly that many ticks ahead is
+ *    appended to it. Lane 0 (delay 0) takes events for the current
+ *    tick; owners of other constant delays declare them (the kernel
+ *    its doorbell and fault-path costs, the polling service its
+ *    period). Because now() never decreases, every lane is sorted by
+ *    (tick, sequence) as it is built. On the serving workloads the
+ *    lanes take 76-78% of all events; only jittered device
+ *    completions and rare timers use the heap. Execution takes the earliest of the
+ *    heap top and the lane fronts, so the observable order is that of
+ *    a single priority queue. A delay that is not declared, or one
+ *    past the small lane cap, goes to the heap: a declaration can cost
+ *    speed but can never change the order.
+ *  - Lanes are power-of-two rings, since a lane such as the pollers'
+ *    may never drain; they double when full and never shrink.
  *  - Cancellation is O(1): the event's slot is recycled immediately
  *    and its queue entry goes stale, detected by a generation check
  *    (the slot remembers the unique sequence key of the event it
- *    currently backs). Stale entries are skipped at pop, or swept
- *    wholesale when they pile up, so cancel-heavy workloads (polling
- *    deadlines, timeslice preemption) cannot grow the queue unboundedly.
+ *    currently backs). A stale entry is dropped when it reaches the
+ *    front, or swept wholesale when stale entries pile up, so
+ *    cancel-heavy workloads (polling deadlines, timeslice preemption)
+ *    cannot grow the queue unboundedly.
+ *  - A callback runs in place in its slot, destroyed by the same
+ *    call. Its key is cleared first, so cancelling its own id from
+ *    inside is a no-op, and the slot rejoins the free list only after
+ *    the callback returns, so the events it schedules never reuse the
+ *    storage it is running from.
  *
- * Hot members (schedule / cancel / step / drain) are defined inline
- * here; cold maintenance (compaction) lives in event_queue.cc.
+ * Hot members (schedule / cancel / step / runUntil) are defined inline
+ * here; cold maintenance (pool and lane growth, compaction) lives in
+ * event_queue.cc.
  */
 
 #ifndef NEON_SIM_EVENT_QUEUE_HH
 #define NEON_SIM_EVENT_QUEUE_HH
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -91,6 +105,22 @@ class alignas(64) EventQueue
     /** Current simulated time. */
     Tick now() const { return curTick; }
 
+    /**
+     * Declare @p delay as a constant delay many events are scheduled
+     * with: from now on an event due exactly @p delay ticks ahead goes
+     * to a FIFO lane of its own instead of the heap. Entries already
+     * queued stay where they are. A non-positive or already declared
+     * delay, or one past the lane cap, is a no-op. Order is never
+     * affected, only speed.
+     */
+    void
+    declareLane(Tick delay)
+    {
+        if (delay <= 0 || nLanes == maxLanes || laneFor(delay))
+            return;
+        lanes[nLanes++].delay = delay;
+    }
+
     /** Schedule @p fn to run at absolute time @p when. */
     template <typename F>
     EventId
@@ -119,8 +149,8 @@ class alignas(64) EventQueue
 
         const std::uint64_t key = (seq << slotBits) | idx;
         s.key = key;
-        if (when == curTick)
-            lane.push_back({when, key});
+        if (Lane *l = laneFor(when - curTick))
+            l->push({when, key});
         else
             heapPush({when, key});
         ++nLive;
@@ -145,8 +175,7 @@ class alignas(64) EventQueue
     {
         if (id == invalidEventId)
             return;
-        const std::uint32_t idx =
-            static_cast<std::uint32_t>(id & (slotCount - 1));
+        const std::uint32_t idx = slotOf(id);
         if (idx >= nSlots)
             return;
         Slot &s = slotRef(idx);
@@ -175,25 +204,9 @@ class alignas(64) EventQueue
     step()
     {
         Entry e;
-        if (!takeNext(e))
+        if (!takeNext(std::numeric_limits<Tick>::max(), e))
             return false;
-
-        // Recycle the slot before invoking so the callback may
-        // reschedule (possibly into this very slot) or cancel its own
-        // — now stale — id; the key check makes both safe.
-        const auto idx = static_cast<std::uint32_t>(e.key & (slotCount - 1));
-        Slot &s = slotRef(idx);
-        EventCallback fn = std::move(s.fn);
-        releaseSlot(s, idx);
-        --nLive;
-
-        if (e.when < curTick)
-            panic("event time ran backwards");
-        curTick = e.when;
-        ++nExecuted;
-        NEON_TRACE(obs::TraceCategory::SimCore, obs::TraceKind::Instant,
-                   "eq.step", obs::TraceIds{}, nLive, nStale);
-        fn();
+        run(e);
         return true;
     }
 
@@ -201,11 +214,9 @@ class alignas(64) EventQueue
     void
     runUntil(Tick t)
     {
-        Tick w;
-        while (peekNext(w) && w <= t) {
-            if (!step())
-                break;
-        }
+        Entry e;
+        while (takeNext(t, e))
+            run(e);
         if (t > curTick)
             curTick = t;
     }
@@ -231,7 +242,7 @@ class alignas(64) EventQueue
     {
         std::size_t live;        ///< live (non-cancelled) events
         std::size_t peakLive;    ///< high-water mark of live events
-        std::size_t heapEntries; ///< queued entries incl. stale ones
+        std::size_t heapEntries; ///< heap + lane entries incl. stale
         std::size_t stale;       ///< cancelled entries still queued
         std::size_t poolSlots;   ///< total pooled callback slots
         std::uint64_t compactions; ///< stale sweeps performed
@@ -252,13 +263,17 @@ class alignas(64) EventQueue
     static constexpr unsigned chunkBits = 9; // 512 slots per chunk
     static constexpr std::size_t chunkSize = std::size_t(1) << chunkBits;
 
+    // Lane 0 (delay 0) plus up to three declared delays: every lane
+    // front is compared at each pop, so the cap keeps selection cheap.
+    static constexpr unsigned maxLanes = 4;
+
     // Compaction policy: sweeping costs O(entries), so only bother once
     // stale entries dominate — this bounds the queue at ~2x the live
     // event count under arbitrarily heavy cancel traffic while keeping
     // the amortized per-cancel cost O(1).
     static constexpr std::size_t compactMinStale = 64;
 
-    /** One pooled callback slot; key == 0 marks the slot free. */
+    /** One pooled callback slot; key == 0 marks it free or running. */
     struct Slot
     {
         EventCallback fn;
@@ -274,6 +289,35 @@ class alignas(64) EventQueue
     };
 
     /**
+     * A FIFO of entries that share one delay, on a power-of-two ring.
+     * head and tail run free (unsigned wrap); their difference is the
+     * size.
+     */
+    struct Lane
+    {
+        Tick delay = 0;
+        std::unique_ptr<Entry[]> ring;
+        std::uint32_t capacity = 0;
+        std::uint32_t mask = 0; ///< capacity - 1
+        std::uint32_t head = 0;
+        std::uint32_t tail = 0;
+
+        bool empty() const { return head == tail; }
+        std::uint32_t size() const { return tail - head; }
+        const Entry &front() const { return ring[head & mask]; }
+
+        void
+        push(const Entry &e)
+        {
+            if (size() == capacity) [[unlikely]]
+                grow();
+            ring[tail++ & mask] = e;
+        }
+
+        void grow();
+    };
+
+    /**
      * Priority order: earliest tick first, then insertion sequence.
      * Comparing packed keys is comparing sequences — the sequence
      * occupies the high bits and is unique per entry.
@@ -282,6 +326,12 @@ class alignas(64) EventQueue
     earlier(const Entry &a, const Entry &b)
     {
         return a.when != b.when ? a.when < b.when : a.key < b.key;
+    }
+
+    static std::uint32_t
+    slotOf(std::uint64_t key)
+    {
+        return static_cast<std::uint32_t>(key & (slotCount - 1));
     }
 
     Slot &
@@ -299,8 +349,7 @@ class alignas(64) EventQueue
     bool
     isLive(const Entry &e) const
     {
-        return slotRef(static_cast<std::uint32_t>(e.key & (slotCount - 1)))
-                   .key == e.key;
+        return slotRef(slotOf(e.key)).key == e.key;
     }
 
     std::uint32_t
@@ -323,23 +372,25 @@ class alignas(64) EventQueue
         freeHead = idx + 1;
     }
 
-    /** Entries in both tiers, stale ones included. */
+    /** The lane serving @p delay, or nullptr for the heap. */
+    Lane *
+    laneFor(Tick delay)
+    {
+        for (unsigned k = 0; k < nLanes; ++k) {
+            if (lanes[k].delay == delay)
+                return &lanes[k];
+        }
+        return nullptr;
+    }
+
+    /** Entries in the heap and every lane, stale ones included. */
     std::size_t
     queued() const
     {
-        return heap.size() + (lane.size() - laneHead);
-    }
-
-    bool laneEmpty() const { return laneHead == lane.size(); }
-
-    /** Consume the lane front; a drained lane rewinds to reuse storage. */
-    void
-    laneDropFront()
-    {
-        if (++laneHead == lane.size()) {
-            lane.clear();
-            laneHead = 0;
-        }
+        std::size_t n = heap.size();
+        for (unsigned k = 0; k < nLanes; ++k)
+            n += lanes[k].size();
+        return n;
     }
 
     void
@@ -395,81 +446,57 @@ class alignas(64) EventQueue
         heap[i] = e;
     }
 
-    /** Drop stale entries off the heap top; true if a live top remains. */
+    /**
+     * Remove the earliest entry of the heap and the lanes into @p out
+     * if it is due by @p limit. A stale entry met at the front is
+     * dropped and the selection repeats, so one selection serves each
+     * live event. Returns false when nothing live is due.
+     */
     bool
-    pruneHeapTop()
+    takeNext(Tick limit, Entry &out)
     {
         for (;;) {
-            if (heap.empty())
+            const Entry *best = heap.empty() ? nullptr : &heap.front();
+            Lane *from = nullptr;
+            for (unsigned k = 0; k < nLanes; ++k) {
+                Lane &l = lanes[k];
+                if (!l.empty() && (!best || earlier(l.front(), *best))) {
+                    best = &l.front();
+                    from = &l;
+                }
+            }
+            if (!best || best->when > limit)
                 return false;
-            if (isLive(heap[0])) [[likely]]
+            out = *best;
+            if (from)
+                ++from->head;
+            else
+                heapPopTop();
+            if (isLive(out)) [[likely]]
                 return true;
-            heapPopTop();
             --nStale;
         }
     }
 
-    /** Drop stale entries off the lane front. */
+    /** Execute the taken entry's callback in place, then free its slot. */
     void
-    pruneLaneFront()
+    run(const Entry &e)
     {
-        while (!laneEmpty() && !isLive(lane[laneHead])) {
-            laneDropFront();
-            --nStale;
-        }
-    }
+        const std::uint32_t idx = slotOf(e.key);
+        Slot &s = slotRef(idx);
+        s.key = 0; // a cancel of its own id from inside is now a no-op
+        --nLive;
 
-    /**
-     * True if the lane front precedes the heap top. It loses only to
-     * an older event for the same tick, scheduled before the tick
-     * began.
-     */
-    bool
-    laneFrontFirst() const
-    {
-        return heap.empty() || earlier(lane[laneHead], heap[0]);
-    }
-
-    /**
-     * Select (and remove) the next event in (when, seq) order from
-     * whichever tier holds it. Returns false when no live event
-     * remains.
-     */
-    bool
-    takeNext(Entry &out)
-    {
-        if (nStale != 0) [[unlikely]] {
-            pruneLaneFront();
-            pruneHeapTop();
-        }
-        if (!laneEmpty() && laneFrontFirst()) {
-            out = lane[laneHead];
-            laneDropFront();
-            return true;
-        }
-        if (heap.empty())
-            return false;
-        out = heap[0];
-        heapPopTop();
-        return true;
-    }
-
-    /** The tick of the next live event, without consuming it. */
-    bool
-    peekNext(Tick &when)
-    {
-        if (nStale != 0) [[unlikely]] {
-            pruneLaneFront();
-            pruneHeapTop();
-        }
-        if (!laneEmpty() && laneFrontFirst()) {
-            when = lane[laneHead].when;
-            return true;
-        }
-        if (heap.empty())
-            return false;
-        when = heap[0].when;
-        return true;
+        if (e.when < curTick)
+            panic("event time ran backwards");
+        curTick = e.when;
+        ++nExecuted;
+        NEON_TRACE(obs::TraceCategory::SimCore, obs::TraceKind::Instant,
+                   "eq.step", obs::TraceIds{}, nLive, nStale);
+        // Slots never move (chunked pool), so s stays valid while the
+        // callback grows the pool.
+        s.fn.consume();
+        releaseSlot(s, idx);
     }
 
     std::uint32_t growPool();
@@ -484,10 +511,10 @@ class alignas(64) EventQueue
     std::size_t nStale = 0;
     std::size_t nSlots = 0;     ///< slots allocated across all chunks
     std::uint32_t freeHead = 0; ///< free-list head (index + 1); 0 = empty
+    unsigned nLanes = 1;        ///< lane 0 serves delay 0
 
-    std::vector<Entry> heap; ///< future events (4-ary min-heap)
-    std::vector<Entry> lane; ///< same-tick FIFO, consumed from laneHead
-    std::size_t laneHead = 0;
+    Lane lanes[maxLanes];
+    std::vector<Entry> heap; ///< every other event (4-ary min-heap)
     std::vector<std::unique_ptr<Slot[]>> chunks;
 };
 

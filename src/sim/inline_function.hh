@@ -11,8 +11,8 @@
  * oversized cold-path callables.
  *
  * Dispatch goes through a per-type static operations table (invoke /
- * relocate / destroy), so the object itself is just the buffer plus
- * one pointer.
+ * consume / relocate / destroy), so the object itself is just the
+ * buffer plus one pointer.
  */
 
 #ifndef NEON_SIM_INLINE_FUNCTION_HH
@@ -109,10 +109,25 @@ class InlineFunction<R(Args...), InlineBytes>
         return ops->invoke(buf, std::forward<Args>(args)...);
     }
 
+    /**
+     * Invoke the callable once and destroy it where it lies, leaving
+     * this object empty: one indirect call where moving it out,
+     * invoking and destroying it would take three. The object already
+     * reads as empty while the call runs.
+     */
+    R
+    consume(Args... args)
+    {
+        const Ops *o = ops;
+        ops = nullptr;
+        return o->consume(buf, std::forward<Args>(args)...);
+    }
+
   private:
     struct Ops
     {
         R (*invoke)(void *, Args &&...);
+        R (*consume)(void *, Args &&...);
         void (*relocate)(void *dst, void *src) noexcept;
         void (*destroy)(void *) noexcept;
     };
@@ -129,6 +144,15 @@ class InlineFunction<R(Args...), InlineBytes>
         [](void *p, Args &&...args) -> R {
             return asInline<Fn>(p)(std::forward<Args>(args)...);
         },
+        [](void *p, Args &&...args) -> R {
+            // Destroyed on the way out, after the result is built.
+            struct Destroy
+            {
+                Fn &f;
+                ~Destroy() { f.~Fn(); }
+            } d{asInline<Fn>(p)};
+            return d.f(std::forward<Args>(args)...);
+        },
         [](void *dst, void *src) noexcept {
             ::new (dst) Fn(std::move(asInline<Fn>(src)));
             asInline<Fn>(src).~Fn();
@@ -141,6 +165,10 @@ class InlineFunction<R(Args...), InlineBytes>
         [](void *p, Args &&...args) -> R {
             return (**reinterpret_cast<Fn **>(p))(
                 std::forward<Args>(args)...);
+        },
+        [](void *p, Args &&...args) -> R {
+            const std::unique_ptr<Fn> f(*reinterpret_cast<Fn **>(p));
+            return (*f)(std::forward<Args>(args)...);
         },
         [](void *dst, void *src) noexcept {
             *reinterpret_cast<Fn **>(dst) = *reinterpret_cast<Fn **>(src);

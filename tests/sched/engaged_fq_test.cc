@@ -69,6 +69,49 @@ TEST(EngagedFq, SizeEstimateConverges)
     EXPECT_GT(toMsec(efq->systemVtime()), 500.0);
 }
 
+TEST(EngagedFq, TaskVtimeTapReadsTheFinishTag)
+{
+    // The tap the serving layer ranks migration victims by: a task's
+    // finish tag, i.e. its start tag max(system vtime, previous finish
+    // tag) plus its size estimate; 0 for a pid the policy has not seen.
+    EventQueue eq;
+    UsageMeter meter;
+    GpuDevice dev(eq, DeviceConfig(), meter);
+    KernelModule kernel(eq, dev);
+    EngagedFqConfig cfg;
+    cfg.initialEstimate = usec(50);
+    EngagedFairQueueing efq(kernel, cfg);
+    kernel.setScheduler(&efq);
+    const VirtualTimeTap &tap = efq;
+
+    Task a(kernel, "a");
+    Task b(kernel, "b");
+    Channel &ca =
+        *dev.createChannel(*dev.createContext(a.pid()), RequestClass::Compute);
+    Channel &cb =
+        *dev.createChannel(*dev.createContext(b.pid()), RequestClass::Compute);
+    GpuRequest req;
+    req.serviceTime = usec(50);
+
+    EXPECT_EQ(tap.tapTaskVtime(a.pid()), 0);
+
+    // Idle device: a is dispatched with start tag 0.
+    EXPECT_EQ(efq.onSubmitFault(a, ca, req), FaultDecision::Allow);
+    EXPECT_EQ(tap.tapTaskVtime(a.pid()), usec(50));
+
+    // Busy: b parks at start tag 0; a's next request starts at its
+    // previous finish tag.
+    EXPECT_EQ(efq.onSubmitFault(b, cb, req), FaultDecision::Park);
+    EXPECT_EQ(efq.onSubmitFault(a, ca, req), FaultDecision::Park);
+    EXPECT_EQ(tap.tapTaskVtime(b.pid()), usec(50));
+    EXPECT_EQ(tap.tapTaskVtime(a.pid()), usec(100));
+    EXPECT_EQ(tap.tapSystemVtime(), 0);
+
+    EXPECT_EQ(tap.tapTaskVtime(b.pid() + 100), 0);
+    efq.onTaskExited(b); // its state goes with it
+    EXPECT_EQ(tap.tapTaskVtime(b.pid()), 0);
+}
+
 TEST(EngagedFq, PerRequestOverheadExceedsDisengagedFq)
 {
     const WorkloadSpec w = WorkloadSpec::throttle(usec(19));

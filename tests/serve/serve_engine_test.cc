@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <numeric>
+#include <string>
 
 #include "harness/serve_runner.hh"
 #include "workload/adversary.hh"
@@ -330,6 +333,107 @@ TEST(ServeEngine, GlobalClockMigratesOffCrowdedDevice)
     ASSERT_EQ(r.deviceBusy.size(), 2u);
     EXPECT_GT(r.deviceBusy[0], 0);
     EXPECT_GT(r.deviceBusy[1], 0);
+}
+
+/** One engaged-FQ run with clock-steered migration, fingerprinted. */
+struct EngagedMigrationRun
+{
+    ServeRunResult result;
+    std::uint64_t events = 0;
+    /** Migrations whose victim was not the source's lowest session id. */
+    std::size_t notLowestVictims = 0;
+    std::vector<std::string> fingerprint;
+};
+
+EngagedMigrationRun
+runEngagedMigration()
+{
+    // Two small-request sessions arrive first, then two large-request
+    // ones: under engaged FQ a large request's finish tag runs ahead
+    // of a small one's by the size difference, so the tap ranks the
+    // later, larger sessions first.
+    ExperimentConfig cfg = serveConfig(2, 3, SchedKind::EngagedFq);
+    cfg.serve.useGlobalClock = true;
+    cfg.serve.clockPeriod = msec(10);
+    cfg.serve.migrationLag = msec(10);
+    cfg.serve.migrationMinTasks = 2;
+    cfg.measure = sec(1);
+
+    WorkloadSpec small = WorkloadSpec::throttle(usec(100));
+    small.label = "small";
+    WorkloadSpec large = WorkloadSpec::throttle(usec(1700));
+    large.label = "large";
+    const std::vector<ServeWorkloadSpec> specs = {
+        {small, ArrivalSpec::trace({0, 0}), LifetimeSpec::forever()},
+        {large, ArrivalSpec::trace({msec(1), msec(1)}),
+         LifetimeSpec::forever()},
+    };
+
+    ServeWorld world(cfg, specs);
+    EngagedMigrationRun run;
+    // Follow each session's device from the lifecycle stream, so each
+    // migration can be checked against the sessions on its source.
+    std::map<std::uint64_t, std::int32_t> deviceOf;
+    world.engine.addSessionListener([&](const SessionEvent &e) {
+        if (e.kind == SessionEvent::Kind::Admit) {
+            deviceOf[e.session] = e.device;
+        } else if (e.kind == SessionEvent::Kind::Migrate) {
+            const std::int32_t from = deviceOf.at(e.session);
+            std::uint64_t lowest = e.session;
+            for (const auto &[sid, dev] : deviceOf) {
+                if (dev == from)
+                    lowest = std::min(lowest, sid);
+            }
+            if (e.session != lowest)
+                ++run.notLowestVictims;
+            deviceOf[e.session] = e.device;
+        }
+    });
+    world.start();
+    world.runFor(cfg.measure);
+    run.result = world.results();
+    run.events = world.eventsExecuted();
+
+    for (const auto &s : run.result.sessions) {
+        std::string devs;
+        for (std::size_t d : s.devices)
+            devs += std::to_string(d) + ",";
+        run.fingerprint.push_back(
+            s.label + " adm=" + std::to_string(s.admitted) +
+            " busy=" + std::to_string(s.busy) +
+            " reqs=" + std::to_string(s.requests) +
+            " mig=" + std::to_string(s.migrations) + " devs=" + devs);
+    }
+    run.fingerprint.push_back("events=" + std::to_string(run.events));
+    return run;
+}
+
+TEST(ServeEngine, EngagedFqMigrationRanksVictimsByFinishTag)
+{
+    // ServeEngine::tryMigrate picks the source device's most-ahead
+    // session through the policy's vtime tap; under engaged FQ that
+    // is the task's finish tag.
+    const EngagedMigrationRun a = runEngagedMigration();
+    const ServeRunResult &r = a.result;
+
+    EXPECT_EQ(r.arrivals, 4u);
+    EXPECT_GE(r.migrations, 1u);
+    EXPECT_TRUE(r.audit.clean()) << r.audit.summary();
+    EXPECT_GT(r.audit.checks, 0u);
+
+    // A tap that read 0 for every task would tie them all and move the
+    // source's lowest session id every time.
+    EXPECT_GT(a.notLowestVictims, 0u);
+
+    // Usage stays fully accounted across incarnations.
+    Tick session_busy = 0;
+    for (const auto &s : r.sessions)
+        session_busy += s.busy;
+    EXPECT_EQ(session_busy, std::accumulate(r.deviceBusy.begin(),
+                                            r.deviceBusy.end(), Tick(0)));
+
+    // A repeat run is bit-identical.
+    EXPECT_EQ(runEngagedMigration().fingerprint, a.fingerprint);
 }
 
 } // namespace

@@ -5,17 +5,21 @@
  * Seeded random action sequences drive an EventQueue and an ordered
  * std::set of (when, sequence) side by side: schedules from outside
  * and from inside callbacks (many at delay 0, so they take the
- * same-tick lane, and many at small delays, so several heap entries
- * share a tick with lane entries), cancels of pending, lane,
- * already-run and already-cancelled ids, cancel storms that force
- * compaction, single steps, and runUntil to ticks with and without
- * events. After every action the executed order, now() and pending()
- * must match the oracle exactly.
+ * same-tick lane, many at declared lane delays, and many at other
+ * small delays, so heap entries share ticks with lane entries),
+ * cancels of pending, lane-front, lane-middle, already-run and
+ * already-cancelled ids, cancel storms that force compaction, single
+ * steps, and runUntil to ticks with and without events, among them
+ * ticks where a lane front ties a heap entry. One lane is declared
+ * mid-run, while entries with its delay already sit on the heap.
+ * After every action the executed order, now(), pending() and the
+ * queued-entry count must match the oracle exactly.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <deque>
 #include <random>
 #include <set>
 #include <utility>
@@ -31,7 +35,11 @@ namespace
 class DiffHarness
 {
   public:
-    explicit DiffHarness(std::uint64_t seed) : rng(seed) {}
+    explicit DiffHarness(std::uint64_t seed) : rng(seed)
+    {
+        declare(3);
+        declare(5);
+    }
 
     /** Schedule one event at absolute @p when on both sides. */
     void
@@ -40,7 +48,13 @@ class DiffHarness
         const std::uint64_t label = ids.size();
         ids.push_back(eq.schedule(when, [this, label] { onRun(label); }));
         whenOf.push_back(when);
+        delayOf.push_back(when - eq.now());
+        pendingOf.push_back(true);
         oracle.insert({when, label});
+        for (std::size_t k = 0; k < declared.size(); ++k) {
+            if (declared[k] == when - eq.now())
+                laneLabels[k].push_back(label);
+        }
     }
 
     /** Cancel by label: pending, lane, run or already-cancelled alike. */
@@ -49,6 +63,7 @@ class DiffHarness
     {
         eq.cancel(ids[label]);
         oracle.erase({whenOf[label], label});
+        pendingOf[label] = false;
     }
 
     /** Cancel most of what is pending, enough to force compaction. */
@@ -68,7 +83,17 @@ class DiffHarness
     bool
     act()
     {
-        switch (pick(13)) {
+        // The third lane arrives late: entries with its delay are
+        // already on the heap and stay there, and the first lane
+        // entry ties them.
+        if (++actions == 1500) {
+            add(eq.now() + 7);
+            add(eq.now() + 7);
+            declare(7);
+            add(eq.now() + 7);
+        }
+
+        switch (pick(17)) {
           case 0: case 1: case 2:
             add(eq.now() + smallDelay());
             break;
@@ -100,6 +125,17 @@ class DiffHarness
                     add(eq.now() + static_cast<Tick>(pick(64)));
             }
             break;
+          case 13:
+            add(eq.now() + declared[pick(declared.size())]);
+            break;
+          case 14:
+            cancelLaneFront();
+            break;
+          case 15:
+            cancelLaneMiddle();
+            break;
+          case 16:
+            return runToLaneTie();
         }
         return consistent();
     }
@@ -107,12 +143,24 @@ class DiffHarness
     bool
     consistent() const
     {
+        const EventQueue::QueueStats st = eq.stats();
         return ran == expected && eq.now() == now &&
-            eq.pending() == oracle.size();
+            eq.pending() == oracle.size() &&
+            st.heapEntries == st.live + st.stale;
     }
 
     const std::vector<std::uint64_t> &executed() const { return ran; }
     std::size_t compactions() const { return eq.stats().compactions; }
+
+    /** Coverage of the lane-specific actions. */
+    struct Coverage
+    {
+        std::size_t heapBeforeDeclare = 0; ///< pending at a late lane's delay
+        std::size_t frontCancels = 0;
+        std::size_t middleCancels = 0;
+        std::size_t tieRuns = 0;
+    };
+    const Coverage &coverage() const { return cov; }
 
   private:
     std::uint64_t
@@ -129,9 +177,76 @@ class DiffHarness
     }
 
     void
+    declare(Tick d)
+    {
+        for (const auto &e : oracle) {
+            if (delayOf[e.second] == d)
+                ++cov.heapBeforeDeclare;
+        }
+        eq.declareLane(d);
+        declared.push_back(d);
+        laneLabels.emplace_back();
+    }
+
+    /** The oldest pending label in lane @p k, if any. */
+    bool
+    laneFront(std::size_t k, std::uint64_t &label)
+    {
+        std::deque<std::uint64_t> &q = laneLabels[k];
+        while (!q.empty() && !pendingOf[q.front()])
+            q.pop_front();
+        if (q.empty())
+            return false;
+        label = q.front();
+        return true;
+    }
+
+    void
+    cancelLaneFront()
+    {
+        std::uint64_t label;
+        if (laneFront(pick(declared.size()), label)) {
+            cancel(label);
+            ++cov.frontCancels;
+        }
+    }
+
+    void
+    cancelLaneMiddle()
+    {
+        const std::deque<std::uint64_t> &q =
+            laneLabels[pick(declared.size())];
+        if (q.size() < 3)
+            return;
+        const std::uint64_t label = q[1 + pick(q.size() - 2)];
+        if (pendingOf[label])
+            ++cov.middleCancels;
+        cancel(label);
+    }
+
+    /**
+     * Put an event from outside on a lane front's tick (a heap entry
+     * unless its delay is declared) and run to that tick or just
+     * short of it.
+     */
+    bool
+    runToLaneTie()
+    {
+        std::uint64_t label;
+        if (!laneFront(pick(declared.size()), label))
+            return consistent();
+        const Tick t = whenOf[label];
+        if (t - eq.now() != 0)
+            add(t);
+        ++cov.tieRuns;
+        return runTo(t - static_cast<Tick>(pick(2)));
+    }
+
+    void
     onRun(std::uint64_t label)
     {
         ran.push_back(label);
+        pendingOf[label] = false;
         if (oracle.empty()) {
             expected.push_back(~std::uint64_t(0));
         } else {
@@ -145,8 +260,10 @@ class DiffHarness
             add(eq.now()); // same-tick follow-up: the lane
         if (pick(4) == 0)
             add(eq.now());
-        if (pick(3) == 0)
-            add(eq.now() + smallDelay());
+        if (pick(3) == 0) {
+            add(eq.now() + (pick(2) ? smallDelay()
+                                    : declared[pick(declared.size())]));
+        }
         if (pick(5) == 0)
             cancel(label); // its own, now stale, id
         if (pick(4) == 0 && !ids.empty())
@@ -178,17 +295,25 @@ class DiffHarness
     EventQueue eq;
     std::mt19937_64 rng;
     Tick now = 0;
+    int actions = 0;
     std::set<std::pair<Tick, std::uint64_t>> oracle; ///< (when, label)
     std::vector<EventId> ids;   ///< by label (labels follow seq order)
     std::vector<Tick> whenOf;   ///< by label
+    std::vector<Tick> delayOf;  ///< by label: when - now at scheduling
+    std::vector<bool> pendingOf; ///< by label: neither run nor cancelled
+    std::vector<Tick> declared; ///< declared lane delays, in order
+    /** Per declared delay: the labels its lane took, in order. */
+    std::vector<std::deque<std::uint64_t>> laneLabels;
     std::vector<std::uint64_t> ran;      ///< labels as the queue ran them
     std::vector<std::uint64_t> expected; ///< labels in oracle order
+    Coverage cov;
 };
 
 TEST(EventQueueDifferential, MatchesOrderedSetOracle)
 {
     std::size_t executed = 0;
     std::size_t compactions = 0;
+    DiffHarness::Coverage cov;
     for (std::uint64_t seed = 1; seed <= 24; ++seed) {
         DiffHarness h(seed);
         for (int i = 0; i < 6000; ++i) {
@@ -197,10 +322,19 @@ TEST(EventQueueDifferential, MatchesOrderedSetOracle)
         }
         executed += h.executed().size();
         compactions += h.compactions();
+        cov.heapBeforeDeclare += h.coverage().heapBeforeDeclare;
+        cov.frontCancels += h.coverage().frontCancels;
+        cov.middleCancels += h.coverage().middleCancels;
+        cov.tieRuns += h.coverage().tieRuns;
     }
-    // The mix really exercised execution and the stale-entry sweep.
+    // The mix really exercised execution, the stale-entry sweep and
+    // every lane-specific action.
     EXPECT_GT(executed, 50000u);
     EXPECT_GT(compactions, 0u);
+    EXPECT_GE(cov.heapBeforeDeclare, 2u * 24);
+    EXPECT_GT(cov.frontCancels, 1000u);
+    EXPECT_GT(cov.middleCancels, 1000u);
+    EXPECT_GT(cov.tieRuns, 1000u);
 }
 
 } // namespace

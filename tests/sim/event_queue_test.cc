@@ -279,6 +279,80 @@ TEST(EventQueue, RunUntilSkipsStaleTopWithoutOvershooting)
     EXPECT_EQ(count, 1);
 }
 
+TEST(EventQueue, DeclaredLanesKeepTheSingleQueueOrder)
+{
+    // Declared delays take FIFO lanes; the order is still (when, seq)
+    // across lanes and the heap. Entries queued before the declaration
+    // stay on the heap and keep their place.
+    EventQueue eq;
+    std::vector<int> order;
+    eq.scheduleIn(7, [&] { order.push_back(0); });   // heap
+    eq.declareLane(7);
+    eq.declareLane(3);
+    eq.declareLane(3); // again: a no-op
+    eq.declareLane(0); // lane 0 exists already
+    eq.scheduleIn(7, [&] { order.push_back(1); });   // lane 7, ties 0
+    eq.scheduleIn(3, [&] {                           // lane 3
+        order.push_back(2);
+        eq.scheduleIn(3, [&] { order.push_back(4); }); // lane 3, at 6
+        eq.scheduleIn(4, [&] { order.push_back(5); }); // heap, ties 0
+    });
+    eq.scheduleIn(5, [&] { order.push_back(3); });   // heap
+    EXPECT_EQ(eq.stats().heapEntries, 4u);
+    eq.drain();
+    EXPECT_EQ(order, (std::vector<int>{2, 3, 4, 0, 1, 5}));
+    EXPECT_EQ(eq.now(), 7);
+}
+
+TEST(EventQueue, RunningCallbackKeepsItsSlotWhileItSchedules)
+{
+    // A running callback cancels its own id (a no-op), reschedules
+    // itself, and schedules more events than a pool chunk holds, so
+    // the pool grows while its closure runs. The closure's captures
+    // must be intact after all of that: its slot is not handed out
+    // before it returns.
+    struct Self
+    {
+        EventQueue eq;
+        EventId id = invalidEventId;
+        std::vector<int> gens;
+        std::vector<std::uint64_t> tags;
+        std::size_t poolGrowths = 0;
+        int extras = 0;
+
+        void
+        arm(int gen)
+        {
+            const std::uint64_t tag = 0x9e3779b97f4a7c15ull * (gen + 1);
+            id = eq.scheduleIn(1, [this, gen, tag] {
+                eq.cancel(id);
+                const std::size_t slots = eq.stats().poolSlots;
+                if (gen < 3)
+                    arm(gen + 1);
+                for (int i = 0; i < 600; ++i)
+                    eq.scheduleIn(2, [this] { ++extras; });
+                if (eq.stats().poolSlots > slots)
+                    ++poolGrowths;
+                gens.push_back(gen);
+                tags.push_back(tag);
+            });
+        }
+    };
+
+    Self self;
+    self.arm(0);
+    self.eq.drain();
+    EXPECT_EQ(self.gens, (std::vector<int>{0, 1, 2, 3}));
+    std::vector<std::uint64_t> expect;
+    for (int g = 0; g < 4; ++g)
+        expect.push_back(0x9e3779b97f4a7c15ull * (g + 1));
+    EXPECT_EQ(self.tags, expect);
+    EXPECT_EQ(self.extras, 4 * 600);
+    EXPECT_GE(self.poolGrowths, 1u);
+    EXPECT_TRUE(self.eq.empty());
+    EXPECT_EQ(self.eq.stats().stale, 0u);
+}
+
 TEST(EventQueueDeathTest, EmptyStdFunctionPanicsAtScheduleTime)
 {
     EventQueue eq;
