@@ -92,9 +92,10 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(f.watchdogRunawayKills));
     std::printf("failover: %llu evicted, %llu recovered, %llu shed "
                 "(recovery %.0f%%), MTTR %.1f ms, availability %.4f\n",
-                static_cast<unsigned long long>(f.evictedSessions),
+                static_cast<unsigned long long>(r.evictions),
                 static_cast<unsigned long long>(f.recoveredSessions),
-                static_cast<unsigned long long>(f.shedSessions),
+                static_cast<unsigned long long>(r.shedSessions -
+                                                r.predictiveSheds),
                 100.0 * r.recoveryRate, f.mttrMs, f.availability);
     if (!r.observeSummary.empty())
         std::cout << "wrote " << cfg.observe.tracePath << ": "

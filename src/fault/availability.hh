@@ -2,7 +2,8 @@
  * @file
  * AvailabilityReport: injected vs. detected vs. recovered, assembled
  * by the harness from the injector's record, the watchdog kill logs,
- * and the serve layer's retry counters.
+ * and the serve layer's session outcomes. The eviction and shed counts
+ * are the run's own (ServeRunResult::evictions, ::shedSessions).
  */
 
 #ifndef NEON_FAULT_AVAILABILITY_HH
@@ -29,9 +30,7 @@ struct AvailabilityReport
     std::uint64_t schedulerKills = 0;    ///< per-device protection (non-watchdog)
 
     // Recovery side (sessions interrupted by device death).
-    std::uint64_t evictedSessions = 0;
     std::uint64_t recoveredSessions = 0; ///< evicted and later departed
-    std::uint64_t shedSessions = 0;      ///< retry budget exhausted
     std::uint64_t repairs = 0;           ///< outages closed within the run
 
     /** Mean time to detect an injected hang (ms); 0 if none detected. */

@@ -70,9 +70,6 @@ class PlacementPolicy
   public:
     virtual ~PlacementPolicy() = default;
 
-    /** Display name (benches/examples). */
-    virtual std::string name() const = 0;
-
     /**
      * Choose a device for @p req given current loads. @p devices is
      * never empty and is ordered by device index. Pure routing: the
@@ -110,7 +107,6 @@ class PlacementPolicy
 class RoundRobinPlacement : public PlacementPolicy
 {
   public:
-    std::string name() const override { return "round-robin"; }
     std::size_t place(const std::vector<DeviceLoadView> &devices,
                       const PlacementRequest &req) override;
 
@@ -122,7 +118,6 @@ class RoundRobinPlacement : public PlacementPolicy
 class LeastLoadedPlacement : public PlacementPolicy
 {
   public:
-    std::string name() const override { return "least-loaded"; }
     std::size_t place(const std::vector<DeviceLoadView> &devices,
                       const PlacementRequest &req) override;
 };
@@ -133,7 +128,6 @@ class StickyPlacement : public PlacementPolicy
   public:
     explicit StickyPlacement(std::size_t capacity) : capacity(capacity) {}
 
-    std::string name() const override { return "sticky"; }
     std::size_t place(const std::vector<DeviceLoadView> &devices,
                       const PlacementRequest &req) override;
 
@@ -162,7 +156,6 @@ class StickyPlacement : public PlacementPolicy
 class HeterogeneityAwarePlacement : public PlacementPolicy
 {
   public:
-    std::string name() const override { return "heterogeneity-aware"; }
     std::size_t place(const std::vector<DeviceLoadView> &devices,
                       const PlacementRequest &req) override;
 };

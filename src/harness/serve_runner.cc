@@ -116,23 +116,18 @@ ServeWorld::results()
     r.deviceBusy = fleet.perDeviceBusy();
     r.deviceBalance = fleetDeviceBalance(r.deviceBusy);
 
+    // Goodput against the configured SLO targets. The queue budget is
+    // per class when set, so the bound an interactive session is
+    // judged by is the one the shedder used at its front door.
+    GoodputReport &gp = r.slo.goodput;
+    gp.targeted = cfg.serve.slo.any();
+    std::vector<GoodputReport> byClass(
+        engine.workloadClasses().size());
+
     std::uint64_t interrupted = 0, recovered = 0;
     std::vector<double> queue_ms, sojourn_ms, turnaround_ms, rates;
-    for (const SessionRecord &s : engine.sessionResults()) {
-        ServeSessionResult out;
-        out.label = s.label;
-        out.tenant = s.tenant;
-        out.cls = s.cls;
-        out.arrived = s.arrived;
-        out.admitted = s.admitted;
-        out.departed = s.departed;
-        out.killed = s.killed;
-        out.shed = s.shed;
-        out.shedPredicted = s.shedPredicted;
-        out.throttled = s.throttled;
-        out.evictions = s.evictions;
-        out.failovers = s.failovers;
-        out.preemptions = s.preemptions;
+    r.sessions = engine.sessionResults();
+    for (const ServeSessionResult &s : r.sessions) {
         if (s.evictions > 0) {
             ++interrupted;
             // Recovered = resumed after every interruption and not
@@ -140,29 +135,29 @@ ServeWorld::results()
             if (s.failovers == s.evictions && !s.shed && !s.killed)
                 ++recovered;
         }
-        out.devices = s.devices;
-        out.migrations = s.migrations;
-        out.busy = s.busy;
-        out.requests = s.requests;
-        out.rounds = s.rounds;
-        out.meanRoundUs = s.rounds > 0
-            ? s.roundUsSum / static_cast<double>(s.rounds)
-            : 0.0;
         r.requests += s.requests;
 
-        if (out.wasAdmitted()) {
+        if (s.wasAdmitted()) {
             queue_ms.push_back(toMsec(s.admitted - s.arrived));
 
-            const Tick end = out.hasDeparted() ? s.departed : eq.now();
+            const Tick end = s.hasDeparted() ? s.departed : eq.now();
             const Tick residency = end - s.admitted;
             if (!s.killed && residency > 0)
                 rates.push_back(engine.serviceRate(s, s.busy, residency));
         }
-        if (out.hasDeparted()) {
+        if (s.hasDeparted()) {
             sojourn_ms.push_back(toMsec(s.departed - s.admitted));
             turnaround_ms.push_back(toMsec(s.departed - s.arrived));
+            if (!s.killed) {
+                ++gp.eligible;
+                ++byClass[s.cls].eligible;
+                if (engine.meetsSlo(s.cls, s.arrived, s.admitted,
+                                    s.departed)) {
+                    ++gp.met;
+                    ++byClass[s.cls].met;
+                }
+            }
         }
-        r.sessions.push_back(std::move(out));
     }
 
     r.throughputRps = fleetThroughputRps(r.requests, r.elapsed);
@@ -173,6 +168,18 @@ ServeWorld::results()
     r.recoveryRate = interrupted > 0
         ? static_cast<double>(recovered) / static_cast<double>(interrupted)
         : 1.0;
+    gp.fraction = gp.eligible > 0
+        ? static_cast<double>(gp.met) / static_cast<double>(gp.eligible)
+        : 1.0;
+    for (std::size_t c = 0; c < byClass.size(); ++c) {
+        GoodputReport &g = byClass[c];
+        g.targeted = gp.targeted || engine.queueBudgetOf(c) > 0;
+        g.fraction = g.eligible > 0
+            ? static_cast<double>(g.met) / static_cast<double>(g.eligible)
+            : 1.0;
+        r.slo.goodputByClass.push_back(
+            {engine.workloadClasses()[c].label, g});
+    }
 
     AvailabilityReport &f = r.fault;
     f.watchdogHangKills = fleet.watchdogHangKills();
@@ -181,9 +188,7 @@ ServeWorld::results()
         f.watchdogHangKills + f.watchdogRunawayKills;
     const std::uint64_t all_kills = fleet.totalKills();
     f.schedulerKills = all_kills >= wd_kills ? all_kills - wd_kills : 0;
-    f.evictedSessions = r.evictions;
     f.recoveredSessions = recovered;
-    f.shedSessions = r.shedSessions;
 
     if (injector) {
         f.injectedDeaths = injector->injectedDeaths();
@@ -235,36 +240,6 @@ ServeWorld::results()
             f.availability =
                 1.0 - static_cast<double>(down_total) / device_time;
         }
-    }
-
-    // Goodput against the configured SLO targets. The queue budget is
-    // per class when set, so the bound an interactive session is
-    // judged by is the one the shedder used at its front door.
-    GoodputReport &gp = r.slo.goodput;
-    gp.targeted = cfg.serve.slo.any();
-    std::vector<GoodputReport> byClass(
-        engine.workloadClasses().size());
-    for (const ServeSessionResult &s : r.sessions) {
-        if (!s.hasDeparted() || s.killed)
-            continue;
-        ++gp.eligible;
-        ++byClass[s.cls].eligible;
-        if (engine.meetsSlo(s.cls, s.arrived, s.admitted, s.departed)) {
-            ++gp.met;
-            ++byClass[s.cls].met;
-        }
-    }
-    gp.fraction = gp.eligible > 0
-        ? static_cast<double>(gp.met) / static_cast<double>(gp.eligible)
-        : 1.0;
-    for (std::size_t c = 0; c < byClass.size(); ++c) {
-        GoodputReport &g = byClass[c];
-        g.targeted = gp.targeted || engine.queueBudgetOf(c) > 0;
-        g.fraction = g.eligible > 0
-            ? static_cast<double>(g.met) / static_cast<double>(g.eligible)
-            : 1.0;
-        r.slo.goodputByClass.push_back(
-            {engine.workloadClasses()[c].label, g});
     }
 
     if (analyzer) {
@@ -321,7 +296,7 @@ ServeRunner::run(const std::vector<ServeWorkloadSpec> &specs,
                          .first;
             }
             if (it->second > 0.0)
-                slowdowns.push_back(s.meanRoundUs / it->second);
+                slowdowns.push_back(s.meanRoundUs() / it->second);
         }
         r.slo.slowdown = summarizeLatencies(std::move(slowdowns));
     }

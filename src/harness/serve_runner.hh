@@ -56,37 +56,6 @@ struct ServeWorkloadSpec
     }
 };
 
-/** Outcome of one session (serving analogue of TaskResult). */
-struct ServeSessionResult
-{
-    std::string label;
-    std::string tenant;
-    std::size_t cls = 0; ///< index into the spec vector
-
-    Tick arrived = 0;
-    Tick admitted = -1; ///< -1 = still queued at the horizon
-    Tick departed = -1; ///< -1 = still live at the horizon
-    bool killed = false;
-    bool shed = false; ///< dropped: retry budget spent or front door
-    bool shedPredicted = false; ///< shed by the SLO front door at arrival
-    bool throttled = false;     ///< rejected by the token bucket
-
-    int evictions = 0;   ///< device-failure interruptions
-    int failovers = 0;   ///< successful resumes after interruption
-    int preemptions = 0; ///< displaced by interactive admissions
-
-    std::vector<std::size_t> devices; ///< one per incarnation
-    int migrations = 0;
-
-    Tick busy = 0;              ///< ground-truth device time, all incarnations
-    std::uint64_t requests = 0; ///< completed requests, all incarnations
-    double meanRoundUs = 0.0;
-    std::uint64_t rounds = 0;
-
-    bool wasAdmitted() const { return admitted >= 0; }
-    bool hasDeparted() const { return departed >= 0; }
-};
-
 /** Whole-run outcome of a serving experiment. */
 struct ServeRunResult
 {

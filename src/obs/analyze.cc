@@ -293,45 +293,14 @@ Analyzer::onEvent(const SessionEvent &e)
     if (cfg.phases)
         tracker.onEvent(e);
 
-    if (e.session >= admittedAt.size()) {
-        admittedAt.resize(e.session + 1, -1);
-        arrivedAt.resize(e.session + 1, -1);
-    }
-
-    switch (e.kind) {
-    case SessionEvent::Kind::Arrive:
-        ++accum.arrivals;
-        arrivedAt[e.session] = e.when;
-        break;
-    case SessionEvent::Kind::Admit:
-        if (admittedAt[e.session] < 0)
-            admittedAt[e.session] = e.when;
-        break;
-    case SessionEvent::Kind::Depart:
-        ++accum.departures;
-        if (engine.config().slo.sojournTarget > 0 ||
-            engine.queueBudgetOf(e.cls) > 0) {
-            ++accum.goodputEligible;
-            if (engine.meetsSlo(e.cls, arrivedAt[e.session],
-                                admittedAt[e.session], e.when))
-                ++accum.goodputMet;
-        }
-        break;
-    case SessionEvent::Kind::Kill:
-        ++accum.kills;
-        break;
-    case SessionEvent::Kind::Shed:
-        ++accum.sheds;
-        break;
-    case SessionEvent::Kind::Throttle:
-        ++accum.throttled;
-        break;
-    case SessionEvent::Kind::Preempt:
-        ++accum.preempts;
-        break;
-    default:
-        break;
-    }
+    if (e.kind != SessionEvent::Kind::Depart ||
+        (engine.config().slo.sojournTarget <= 0 &&
+         engine.queueBudgetOf(e.cls) <= 0))
+        return;
+    const SessionRecord &s = engine.session(e.session);
+    ++accum.goodputEligible;
+    if (engine.meetsSlo(e.cls, s.arrived, s.admitted, e.when))
+        ++accum.goodputMet;
 }
 
 void
@@ -358,6 +327,20 @@ Analyzer::closeWindow(Tick ws, Tick we)
     accum = WindowStats{};
     w.start = ws;
     w.end = we;
+
+    // Outcome counts: what the engine's step tally gained in the window.
+    const SessionStepTally &now = engine.stepTally();
+    const auto gained = [&](SessionStep step) {
+        const std::size_t i = static_cast<std::size_t>(step);
+        return now[i] - tallyAtOpen[i];
+    };
+    w.arrivals = gained(SessionStep::Arrive);
+    w.departures = gained(SessionStep::Depart);
+    w.kills = gained(SessionStep::Kill);
+    w.sheds = gained(SessionStep::Shed) + gained(SessionStep::ShedPredicted);
+    w.throttled = gained(SessionStep::Throttle);
+    w.preempts = gained(SessionStep::Preempt);
+    tallyAtOpen = now;
 
     // Speed-normalized service rates accrued within the window; a
     // whole-run window reduces to exactly the statistic behind
@@ -498,64 +481,6 @@ namespace
 {
 
 /**
- * Map one trace point (name, kind) to a lifecycle event kind. Returns
- * false for records that are not lifecycle transitions.
- */
-bool
-sessionEventKindOf(const std::string &name, TraceKind kind,
-                   SessionEvent::Kind &out)
-{
-    if (kind == TraceKind::AsyncBegin && name == "session") {
-        out = SessionEvent::Kind::Arrive;
-        return true;
-    }
-    if (kind != TraceKind::Instant)
-        return false;
-    if (name == "serve.admit" || name == "serve.failover" ||
-        name == "serve.preempt_resume") {
-        out = SessionEvent::Kind::Admit;
-        return true;
-    }
-    if (name == "serve.migrate") {
-        out = SessionEvent::Kind::Migrate;
-        return true;
-    }
-    if (name == "serve.evict") {
-        out = SessionEvent::Kind::Evict;
-        return true;
-    }
-    if (name == "serve.retry_arrive") {
-        out = SessionEvent::Kind::RetryEnqueue;
-        return true;
-    }
-    if (name == "serve.depart") {
-        out = SessionEvent::Kind::Depart;
-        return true;
-    }
-    if (name == "serve.session_killed") {
-        out = SessionEvent::Kind::Kill;
-        return true;
-    }
-    if (name == "serve.shed" || name == "serve.shed_predicted") {
-        out = SessionEvent::Kind::Shed;
-        return true;
-    }
-    if (name == "serve.throttle") {
-        out = SessionEvent::Kind::Throttle;
-        return true;
-    }
-    if (name == "serve.preempt") {
-        out = SessionEvent::Kind::Preempt;
-        return true;
-    }
-    if (name == "serve.preempt_requeue") {
-        out = SessionEvent::Kind::RetryEnqueue;
-        return true;
-    }
-    return false;
-}
-
-/**
  * Minimal field extraction from one exported record line. The format
  * is machine-written (printRecordJson), so a strict scan for
  * "key": value is sufficient — no general JSON parser needed.
@@ -592,33 +517,43 @@ std::vector<SessionEvent>
 sessionEventsFromJsonl(std::istream &in, std::uint64_t *lines)
 {
     std::vector<SessionEvent> out;
+    std::vector<std::size_t> classOf; // by session, from its arrival
     std::uint64_t n = 0;
     std::string line;
     while (std::getline(in, line)) {
         ++n;
-        long long when = 0, session = -1, kind_num = 0;
+        long long when = 0, session = -1, kind = 0;
         std::string name;
         if (!jsonInt(line, "when", when) ||
             !jsonInt(line, "session", session) ||
-            !jsonInt(line, "kind", kind_num) ||
+            !jsonInt(line, "kind", kind) ||
             !jsonString(line, "name", name))
             continue;
         if (session < 0)
             continue;
-        SessionEvent::Kind kind;
-        if (!sessionEventKindOf(name, static_cast<TraceKind>(kind_num),
-                                kind))
+        const auto row = std::find_if(
+            sessionSteps.begin(), sessionSteps.end(),
+            [&](const SessionStepRow &r) {
+                return static_cast<long long>(r.kind) == kind &&
+                    name == r.name;
+            });
+        if (row == sessionSteps.end())
             continue;
         SessionEvent e;
-        e.kind = kind;
+        e.kind = row->event;
         e.when = when;
         e.session = static_cast<std::uint64_t>(session);
         long long device = -1, arg0 = 0;
         jsonInt(line, "device", device);
         e.device = static_cast<std::int32_t>(device);
-        if (kind == SessionEvent::Kind::Arrive &&
+        if (e.session >= classOf.size())
+            classOf.resize(e.session + 1, 0);
+        // The arrival's record carries the class; every later step of
+        // the session takes it from there.
+        if (e.kind == SessionEvent::Kind::Arrive &&
             jsonInt(line, "arg0", arg0))
-            e.cls = static_cast<std::size_t>(arg0);
+            classOf[e.session] = static_cast<std::size_t>(arg0);
+        e.cls = classOf[e.session];
         out.push_back(e);
     }
     if (lines)

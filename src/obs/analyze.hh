@@ -256,11 +256,10 @@ class Analyzer
 
     PhaseTracker tracker;
     std::vector<WindowStats> windows;
-    WindowStats accum;            ///< event counts for the open window
+    WindowStats accum;              ///< goodput counts for the open window
+    SessionStepTally tallyAtOpen{}; ///< engine step tally at window open
     Tick windowStart = 0;
-    std::vector<Tick> arrivedAt;  ///< arrival time, by session id
-    std::vector<Tick> admittedAt; ///< first admission, by session id
-    std::vector<Tick> busyPrev;   ///< busy at window open, by session id
+    std::vector<Tick> busyPrev;     ///< busy at window open, by session id
     std::vector<Tick> devBusyPrev;
     bool finalized = false;
 };
@@ -268,9 +267,12 @@ class Analyzer
 /**
  * Rebuild lifecycle SessionEvents from a raw-record JSONL export
  * (ObserveConfig::recordsJsonlPath, Serve + Fault categories): the
- * offline path behind bench_trace_analyze. Exact only when the capture
- * did not drop; lines that are not lifecycle transitions are skipped.
- * If @p lines is given, it receives the number of lines read.
+ * offline path behind bench_trace_analyze. Each record maps back
+ * through the engine's step table (sessionSteps), and every event gets
+ * its session's class from the arrival's record, so when the capture
+ * did not drop, the result equals the stream the engine's listeners
+ * saw. Lines that are not session steps are skipped. If @p lines is
+ * given, it receives the number of lines read.
  */
 std::vector<SessionEvent>
 sessionEventsFromJsonl(std::istream &in, std::uint64_t *lines = nullptr);

@@ -173,8 +173,8 @@ void registerFleetAudits(Auditor &a, FleetManager &fleet,
 
 /**
  * Register the serving-layer invariants: admitted-session conservation
- * (arrivals == live + departures + kills + sheds, checked continuously)
- * and exact usage reconciliation (session busy/request sums == device
+ * (arrivals == live + departures + kills + sheds + throttled, checked
+ * continuously) and exact usage reconciliation (session busy/request sums == device
  * meter sums, final — the runtime form of the fault-integration test's
  * expectExactAccounting).
  */

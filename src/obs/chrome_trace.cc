@@ -243,11 +243,5 @@ writeChromeTrace(std::ostream &os, const ChromeTimeline &tl)
     os.precision(saved);
 }
 
-void
-writeChromeTrace(std::ostream &os, const TraceRecorder &rec)
-{
-    writeChromeTrace(os, buildChromeEvents(rec.snapshot()));
-}
-
 } // namespace obs
 } // namespace neon

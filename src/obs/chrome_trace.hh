@@ -81,9 +81,6 @@ ChromeTimeline buildChromeEvents(const std::vector<TraceRecord> &records);
 /** Serialize a built timeline as Chrome trace JSON. */
 void writeChromeTrace(std::ostream &os, const ChromeTimeline &tl);
 
-/** Convenience: build + serialize a recorder snapshot. */
-void writeChromeTrace(std::ostream &os, const TraceRecorder &rec);
-
 /** Escape a string for embedding in a JSON literal (no quotes added). */
 std::string jsonEscape(const std::string &s);
 

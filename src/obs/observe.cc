@@ -157,10 +157,7 @@ Observer::writeOutputs()
         std::ofstream os(cfg.tracePath);
         if (!os)
             fatal("cannot open trace output '", cfg.tracePath, "'");
-        if (shardRings.empty())
-            writeChromeTrace(os, ring);
-        else
-            writeChromeTrace(os, buildChromeEvents(mergedRecords()));
+        writeChromeTrace(os, buildChromeEvents(mergedRecords()));
     }
     if (!cfg.countersCsvPath.empty()) {
         std::ofstream os(cfg.countersCsvPath);

@@ -219,6 +219,18 @@ traceEnabled(TraceCategory c)
     return (detail::activeMask & static_cast<std::uint32_t>(c)) != 0;
 }
 
+/**
+ * A trace point whose name was interned up front, for code that takes
+ * its names from a table: one record if @p cat is enabled.
+ */
+inline void
+traceRecord(TraceCategory cat, std::uint16_t name, TraceKind kind,
+            const TraceIds &ids, std::int64_t arg0, std::int64_t arg1)
+{
+    if (traceEnabled(cat)) [[unlikely]]
+        detail::emitTrace(cat, name, kind, ids, arg0, arg1);
+}
+
 } // namespace obs
 } // namespace neon
 

@@ -11,8 +11,6 @@
 #ifndef NEON_OS_SCHEDULER_HH
 #define NEON_OS_SCHEDULER_HH
 
-#include <string>
-
 #include "gpu/request.hh"
 #include "sim/types.hh"
 
@@ -44,9 +42,6 @@ class Scheduler
 
     Scheduler(const Scheduler &) = delete;
     Scheduler &operator=(const Scheduler &) = delete;
-
-    /** Human-readable policy name (reports/benches). */
-    virtual std::string name() const = 0;
 
     /** World start: install timers, initial protection, etc. */
     virtual void onStart() {}

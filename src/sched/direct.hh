@@ -23,8 +23,6 @@ class DirectScheduler : public Scheduler
   public:
     explicit DirectScheduler(KernelModule &kernel) : Scheduler(kernel) {}
 
-    std::string name() const override { return "direct"; }
-
     void
     onChannelActive(Channel &c) override
     {

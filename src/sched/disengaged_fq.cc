@@ -168,7 +168,6 @@ DisengagedFairQueueing::onPoll(Tick now)
 void
 DisengagedFairQueueing::pollDeltas()
 {
-    advanced.clear();
     for (Channel *c : kernel.activeChannels()) {
         const std::uint64_t cur = kernel.readCompletedRef(*c);
         auto it = lastSeenRef.find(c->id());
@@ -180,17 +179,8 @@ DisengagedFairQueueing::pollDeltas()
             const int pid = c->context().taskId();
             stateOf(pid).intervalCompletions += cur - it->second;
             it->second = cur;
-            if (std::find(advanced.begin(), advanced.end(), pid) ==
-                advanced.end()) {
-                advanced.push_back(pid);
-            }
         }
     }
-    // Activity bits: one tick per task per poll in which any of its
-    // reference counters moved. This is the busy-time signal a kernel
-    // can legitimately extract at polling granularity.
-    for (int pid : advanced)
-        ++stateOf(pid).activePolls;
 }
 
 bool
@@ -252,10 +242,8 @@ DisengagedFairQueueing::enterFreeRun(Tick length)
                "dfq.free_run", obs::TraceIds{kernel.deviceIndex(), -1, -1},
                length, nEpisodes);
 
-    for (auto &kv : taskStates) {
+    for (auto &kv : taskStates)
         kv.second.intervalCompletions = 0;
-        kv.second.activePolls = 0;
-    }
 
     // Resynchronize the counter snapshots: completions observed during
     // the episode (already accounted by the sampling runs) must not
@@ -287,7 +275,7 @@ DisengagedFairQueueing::episodeBegin()
 
     ++nEpisodes;
     curPhase = Phase::Draining;
-    episodeStart = drainStart = kernel.eventQueue().now();
+    drainStart = kernel.eventQueue().now();
     NEON_TRACE(obs::TraceCategory::Sched, obs::TraceKind::Begin,
                "dfq.engage", obs::TraceIds{kernel.deviceIndex(), -1, -1},
                kernel.activeChannels().size(), nEpisodes);
@@ -306,7 +294,6 @@ DisengagedFairQueueing::beginSampling()
 {
     curPhase = Phase::Sampling;
     samplingQueue.clear();
-    sampledThisEpisode = 0;
     NEON_TRACE(obs::TraceCategory::Sched, obs::TraceKind::Instant,
                "dfq.begin_sampling",
                obs::TraceIds{kernel.deviceIndex(), -1, -1},
@@ -339,7 +326,6 @@ DisengagedFairQueueing::sampleNext()
             continue;
 
         samplingPid = pid;
-        ++sampledThisEpisode;
         NEON_TRACE(obs::TraceCategory::Sched, obs::TraceKind::Begin,
                    "dfq.sample",
                    obs::TraceIds{kernel.deviceIndex(), pid, -1}, 0, 0);

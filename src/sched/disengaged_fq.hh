@@ -95,8 +95,6 @@ class DisengagedFairQueueing : public Scheduler, public VirtualTimeTap
     DisengagedFairQueueing(KernelModule &kernel,
                            const DfqConfig &cfg = DfqConfig());
 
-    std::string name() const override { return "disengaged-fq"; }
-
     void onChannelActive(Channel &c) override;
     void onChannelClosed(Channel &c) override;
     void onTaskExited(Task &t) override;
@@ -135,7 +133,6 @@ class DisengagedFairQueueing : public Scheduler, public VirtualTimeTap
         Tick estSize = 0; ///< sampled mean request size; 0 = unknown
         double duty = 1.0; ///< sampled busy fraction of the task
         std::uint64_t intervalCompletions = 0;
-        std::uint64_t activePolls = 0; ///< polls with counter movement
         bool denied = false;
 
         // Sampling scratch. Busy time is integrated over the window by
@@ -176,16 +173,12 @@ class DisengagedFairQueueing : public Scheduler, public VirtualTimeTap
     std::map<int, TaskState> taskStates;      // by pid
     std::map<int, std::uint64_t> lastSeenRef; // by channel id
 
-    /** Pids whose counters moved in this poll; reused across polls. */
-    std::vector<int> advanced;
-
     Tick sysVtime = 0;
     Tick freeRunLen = 0;
     Tick intervalStart = 0; ///< start of the current free run
     Tick drainStart = 0;
     Tick drainReadyAt = 0;
     Tick drainEnd = 0;
-    Tick episodeStart = 0;
 
     EventId episodeTimer = invalidEventId;
     EventId samplingDeadline = invalidEventId;
@@ -193,7 +186,6 @@ class DisengagedFairQueueing : public Scheduler, public VirtualTimeTap
     std::vector<int> samplingQueue;
     int samplingPid = -1;
     int samplingTarget = 0;
-    int sampledThisEpisode = 0;
 
     /**
      * After a task's sampling run ends, its last allowed submission may

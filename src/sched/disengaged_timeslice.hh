@@ -29,8 +29,6 @@ class DisengagedTimeslice : public TimesliceScheduler
     {
     }
 
-    std::string name() const override { return "disengaged-timeslice"; }
-
     void
     onChannelActive(Channel &c) override
     {

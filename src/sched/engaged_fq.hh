@@ -55,8 +55,6 @@ class EngagedFairQueueing : public Scheduler, public VirtualTimeTap
     EngagedFairQueueing(KernelModule &kernel,
                         const EngagedFqConfig &cfg = EngagedFqConfig());
 
-    std::string name() const override { return "engaged-fq"; }
-
     void onChannelActive(Channel &c) override;
     void onTaskExited(Task &t) override;
     FaultDecision onSubmitFault(Task &t, Channel &c,

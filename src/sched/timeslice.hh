@@ -48,8 +48,6 @@ class TimesliceScheduler : public Scheduler
     TimesliceScheduler(KernelModule &kernel,
                        const TimesliceConfig &cfg = TimesliceConfig());
 
-    std::string name() const override { return "timeslice"; }
-
     void onChannelActive(Channel &c) override;
     void onTaskExited(Task &t) override;
     FaultDecision onSubmitFault(Task &t, Channel &c,

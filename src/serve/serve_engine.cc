@@ -13,13 +13,43 @@ namespace neon
 namespace
 {
 
+// Short names for the step table.
+constexpr obs::TraceCategory Serve = obs::TraceCategory::Serve;
+constexpr obs::TraceCategory Fault = obs::TraceCategory::Fault;
+constexpr obs::TraceKind Begin = obs::TraceKind::AsyncBegin;
+constexpr obs::TraceKind Point = obs::TraceKind::Instant;
+constexpr obs::TraceKind NoHop = obs::TraceKind::Instant;
+constexpr obs::TraceKind Start = obs::TraceKind::FlowStart;
+constexpr obs::TraceKind Step = obs::TraceKind::FlowStep;
+constexpr obs::TraceKind End = obs::TraceKind::FlowEnd;
+using K = SessionEvent::Kind;
+
+/** Interned names of the step table's records. */
+struct StepNames
+{
+    std::array<std::uint16_t, sessionStepCount> step;
+    std::uint16_t flow;
+    std::uint16_t span;
+};
+
+StepNames
+internStepNames()
+{
+    StepNames n{};
+    for (std::size_t i = 0; i < sessionStepCount; ++i)
+        n.step[i] = obs::internTraceName(sessionSteps[i].name);
+    n.flow = obs::internTraceName("session.flow");
+    n.span = obs::internTraceName("session");
+    return n;
+}
+
 /**
  * Add one incarnation's usage to its session. Incarnations get fresh
  * pids, so the meter's per-pid counters are exactly that incarnation's
  * usage — no baseline arithmetic.
  */
 void
-foldIncarnation(SessionRecord &s, const IncarnationUsage &u)
+foldIncarnation(ServeSessionResult &s, const IncarnationUsage &u)
 {
     s.busy += u.busy;
     s.requests += u.requests;
@@ -28,6 +58,28 @@ foldIncarnation(SessionRecord &s, const IncarnationUsage &u)
 }
 
 } // namespace
+
+// The arrival's record opens the `session` async span and each outcome
+// step (depart, kill, either shed, throttle) closes it; the
+// `session.flow` arrow starts at the first admission and follows the
+// session from device to device.
+const std::array<SessionStepRow, sessionStepCount> sessionSteps = {{
+    // name                   cat    kind   event            device hop    span end
+    {"session",               Serve, Begin, K::Arrive,       false, NoHop, false},
+    {"serve.admit",           Serve, Point, K::Admit,        true,  Start, false},
+    {"serve.failover",        Fault, Point, K::Admit,        true,  Step,  false},
+    {"serve.preempt_resume",  Serve, Point, K::Admit,        true,  Step,  false},
+    {"serve.migrate",         Serve, Point, K::Migrate,      true,  Step,  false},
+    {"serve.evict",           Fault, Point, K::Evict,        true,  NoHop, false},
+    {"serve.retry_arrive",    Fault, Point, K::RetryEnqueue, false, NoHop, false},
+    {"serve.preempt_requeue", Serve, Point, K::RetryEnqueue, false, NoHop, false},
+    {"serve.depart",          Serve, Point, K::Depart,       true,  End,   true},
+    {"serve.session_killed",  Serve, Point, K::Kill,         true,  End,   true},
+    {"serve.shed",            Fault, Point, K::Shed,         false, End,   true},
+    {"serve.shed_predicted",  Serve, Point, K::Shed,         false, NoHop, true},
+    {"serve.throttle",        Serve, Point, K::Throttle,     false, NoHop, true},
+    {"serve.preempt",         Serve, Point, K::Preempt,      true,  Step,  false},
+}};
 
 ServeEngine::ServeEngine(EventQueue &eq, FleetManager &fleet,
                          const ServeConfig &cfg,
@@ -118,21 +170,15 @@ ServeEngine::onArrival(std::size_t cls)
     auto s = std::make_unique<SessionRecord>();
     s->id = sid;
     s->cls = cls;
-    s->label = c.label + "#" + std::to_string(nArrivals);
+    s->label = c.label + "#" + std::to_string(sid);
     s->tenant = c.tenant.empty() ? c.label : c.tenant;
     s->arrived = eq.now();
     sessions.push_back(std::move(s));
 
-    ++nArrivals;
     ++nLive;
     if (nLive > peakLive)
         peakLive = nLive;
-
-    NEON_TRACE(obs::TraceCategory::Serve, obs::TraceKind::AsyncBegin,
-               "session",
-               obs::TraceIds{-1, -1, static_cast<std::int32_t>(sid)},
-               cls, nLive);
-    emitSession(SessionEvent::Kind::Arrive, *sessions[sid]);
+    publish(SessionStep::Arrive, *sessions[sid], cls, nLive);
 
     // Front door, stage 1: per-tenant token bucket. A throttled
     // arrival is recorded and counted, never silently dropped.
@@ -218,29 +264,14 @@ ServeEngine::admitSession(std::uint64_t sid)
     s.devices.push_back(s.device);
     trackPlaced(s);
 
-    const obs::TraceIds admit_ids{static_cast<std::int16_t>(s.device),
-                                  t->pid(),
-                                  static_cast<std::int32_t>(sid)};
     if (faultResume) {
         ++s.failovers;
-        ++nFailovers;
-        NEON_TRACE(obs::TraceCategory::Fault, obs::TraceKind::Instant,
-                   "serve.failover", admit_ids, s.evictions, s.retries);
-        NEON_TRACE(obs::TraceCategory::Serve, obs::TraceKind::FlowStep,
-                   "session.flow", admit_ids, 0, 0);
+        publish(SessionStep::Failover, s, s.evictions, s.retries);
     } else if (resuming) {
-        NEON_TRACE(obs::TraceCategory::Serve, obs::TraceKind::Instant,
-                   "serve.preempt_resume", admit_ids, s.preemptions, 0);
-        NEON_TRACE(obs::TraceCategory::Serve, obs::TraceKind::FlowStep,
-                   "session.flow", admit_ids, 0, 0);
+        publish(SessionStep::PreemptResume, s, s.preemptions);
     } else {
-        NEON_TRACE(obs::TraceCategory::Serve, obs::TraceKind::Instant,
-                   "serve.admit", admit_ids, s.admitted - s.arrived, 0);
-        NEON_TRACE(obs::TraceCategory::Serve, obs::TraceKind::FlowStart,
-                   "session.flow", admit_ids, 0, 0);
+        publish(SessionStep::Admit, s, s.admitted - s.arrived);
     }
-    emitSession(SessionEvent::Kind::Admit, s,
-                static_cast<std::int32_t>(s.device));
 
     startBody(s);
 
@@ -289,17 +320,10 @@ ServeEngine::onDeparture(std::uint64_t sid)
     if (s.task->killed())
         return; // same-tick kill: finalizeKill owns this session
 
-    {
-        const obs::TraceIds depart_ids{static_cast<std::int16_t>(s.device),
-                                       s.task->pid(),
-                                       static_cast<std::int32_t>(sid)};
-        NEON_TRACE(obs::TraceCategory::Serve, obs::TraceKind::Instant,
-                   "serve.depart", depart_ids, eq.now() - s.arrived, 0);
-        NEON_TRACE(obs::TraceCategory::Serve, obs::TraceKind::FlowEnd,
-                   "session.flow", depart_ids, 0, 0);
-        NEON_TRACE(obs::TraceCategory::Serve, obs::TraceKind::AsyncEnd,
-                   "session", depart_ids, 0, 0);
-    }
+    // Ahead of the retire, whose fleet and kernel records follow the
+    // departure's, and of freeSlot, whose release admits the next
+    // queued session after it.
+    publish(SessionStep::Depart, s, eq.now() - s.arrived);
     untrackPlaced(s);
     // The fleet folds the usage after the teardown, so an aborted
     // in-flight request's occupancy is included.
@@ -310,12 +334,8 @@ ServeEngine::onDeparture(std::uint64_t sid)
     s.departed = eq.now();
     s.done = true;
     --nLive;
-    ++nDepartures;
     if (s.admitted >= 0)
         shedder.noteHold(classes[s.cls].label, eq.now() - s.admitted);
-    // Before freeSlot: a release there admits the next queued session,
-    // and its Admit must follow this Depart in listener order.
-    emitSession(SessionEvent::Kind::Depart, s);
 
     freeSlot(s.tenant);
 }
@@ -327,18 +347,7 @@ ServeEngine::finalizeKill(std::uint64_t sid)
     if (s.done)
         return;
 
-    {
-        const obs::TraceIds kill_ids{static_cast<std::int16_t>(s.device),
-                                     s.task ? s.task->pid() : -1,
-                                     static_cast<std::int32_t>(sid)};
-        NEON_TRACE(obs::TraceCategory::Serve, obs::TraceKind::Instant,
-                   "serve.session_killed", kill_ids, eq.now() - s.arrived,
-                   0);
-        NEON_TRACE(obs::TraceCategory::Serve, obs::TraceKind::FlowEnd,
-                   "session.flow", kill_ids, 0, 0);
-        NEON_TRACE(obs::TraceCategory::Serve, obs::TraceKind::AsyncEnd,
-                   "session", kill_ids, 0, 0);
-    }
+    publish(SessionStep::Kill, s, eq.now() - s.arrived);
     // Killed tasks keep their Task, so the usage is read in place.
     if (s.task) {
         untrackPlaced(s);
@@ -354,10 +363,8 @@ ServeEngine::finalizeKill(std::uint64_t sid)
     s.done = true;
     s.killed = true;
     --nLive;
-    ++nKilled;
     if (s.admitted >= 0)
         shedder.noteHold(classes[s.cls].label, eq.now() - s.admitted);
-    emitSession(SessionEvent::Kind::Kill, s);
 
     freeSlot(s.tenant);
 }
@@ -373,7 +380,6 @@ ServeEngine::onEviction(Task &t)
         return;
     }
     SessionRecord &s = *sp;
-    const std::uint64_t sid = s.id;
     untrackPlaced(s);
 
     // Retire the incarnation on the dead device (its in-flight request
@@ -382,7 +388,6 @@ ServeEngine::onEviction(Task &t)
     foldIncarnation(s, fleet.retireTask(t));
     s.task = nullptr;
     ++s.evictions;
-    ++nEvicted;
 
     if (s.departureEv != invalidEventId) {
         eq.cancel(s.departureEv);
@@ -393,13 +398,7 @@ ServeEngine::onEviction(Task &t)
         s.remainingLifetime = -1; // infinite lifetime stays infinite
     }
 
-    NEON_TRACE(obs::TraceCategory::Fault, obs::TraceKind::Instant,
-               "serve.evict",
-               obs::TraceIds{static_cast<std::int16_t>(s.device), -1,
-                             static_cast<std::int32_t>(sid)},
-               s.evictions, s.remainingLifetime);
-    emitSession(SessionEvent::Kind::Evict, s,
-                static_cast<std::int32_t>(s.device));
+    publish(SessionStep::Evict, s, s.evictions, s.remainingLifetime);
 
     // The slot it held is returned (capacity already shrank via
     // onDeviceDown, so this normally releases nobody).
@@ -454,11 +453,7 @@ ServeEngine::retryArrive(std::uint64_t sid)
 
     // Past the hopeless-fleet check only: a re-backoff above stays in
     // the stall phase, while this point re-enters the admission queue.
-    NEON_TRACE(obs::TraceCategory::Fault, obs::TraceKind::Instant,
-               "serve.retry_arrive",
-               obs::TraceIds{-1, -1, static_cast<std::int32_t>(sid)},
-               s.retries, 0);
-    emitSession(SessionEvent::Kind::RetryEnqueue, s);
+    publish(SessionStep::RetryArrive, s, s.retries);
     const ServeClass &c = classes[s.cls];
     QueuedRequest qr;
     qr.session = sid;
@@ -482,17 +477,7 @@ ServeEngine::shedSession(SessionRecord &s)
     s.shed = true;
     s.done = true;
     --nLive;
-    ++nShed;
-
-    const obs::TraceIds shed_ids{-1, -1,
-                                 static_cast<std::int32_t>(s.id)};
-    NEON_TRACE(obs::TraceCategory::Fault, obs::TraceKind::Instant,
-               "serve.shed", shed_ids, s.retries, eq.now() - s.arrived);
-    NEON_TRACE(obs::TraceCategory::Serve, obs::TraceKind::FlowEnd,
-               "session.flow", shed_ids, 0, 0);
-    NEON_TRACE(obs::TraceCategory::Serve, obs::TraceKind::AsyncEnd,
-               "session", shed_ids, 0, 0);
-    emitSession(SessionEvent::Kind::Shed, s);
+    publish(SessionStep::Shed, s, s.retries, eq.now() - s.arrived);
 }
 
 void
@@ -501,15 +486,7 @@ ServeEngine::throttleSession(SessionRecord &s)
     s.throttled = true;
     s.done = true;
     --nLive;
-    ++nThrottled;
-
-    const obs::TraceIds ids{-1, -1, static_cast<std::int32_t>(s.id)};
-    NEON_TRACE(obs::TraceCategory::Serve, obs::TraceKind::Instant,
-               "serve.throttle", ids,
-               limiter.throttledOf(s.tenant), 0);
-    NEON_TRACE(obs::TraceCategory::Serve, obs::TraceKind::AsyncEnd,
-               "session", ids, 0, 0);
-    emitSession(SessionEvent::Kind::Throttle, s);
+    publish(SessionStep::Throttle, s, limiter.throttledOf(s.tenant));
 }
 
 void
@@ -519,15 +496,7 @@ ServeEngine::shedAtFrontDoor(SessionRecord &s, const ShedDecision &d)
     s.shedPredicted = true;
     s.done = true;
     --nLive;
-    ++nShed;
-    ++nShedPredicted;
-
-    const obs::TraceIds ids{-1, -1, static_cast<std::int32_t>(s.id)};
-    NEON_TRACE(obs::TraceCategory::Serve, obs::TraceKind::Instant,
-               "serve.shed_predicted", ids, d.predicted, d.budget);
-    NEON_TRACE(obs::TraceCategory::Serve, obs::TraceKind::AsyncEnd,
-               "session", ids, 0, 0);
-    emitSession(SessionEvent::Kind::Shed, s);
+    publish(SessionStep::ShedPredicted, s, d.predicted, d.budget);
 }
 
 Tick
@@ -567,7 +536,7 @@ ServeEngine::meetsSlo(std::size_t cls, Tick arrived, Tick admitted,
 }
 
 double
-ServeEngine::serviceRate(const SessionRecord &s, Tick busy,
+ServeEngine::serviceRate(const ServeSessionResult &s, Tick busy,
                          Tick residency) const
 {
     double speed = 1.0;
@@ -632,7 +601,6 @@ ServeEngine::preemptSession(SessionRecord &s)
     foldIncarnation(s, fleet.retireTask(*s.task));
     s.task = nullptr;
     ++s.preemptions;
-    ++nPreemptions;
     s.preemptResume = true;
 
     if (s.departureEv != invalidEventId) {
@@ -644,14 +612,7 @@ ServeEngine::preemptSession(SessionRecord &s)
         s.remainingLifetime = -1;
     }
 
-    const obs::TraceIds ids{static_cast<std::int16_t>(s.device), -1,
-                            static_cast<std::int32_t>(s.id)};
-    NEON_TRACE(obs::TraceCategory::Serve, obs::TraceKind::Instant,
-               "serve.preempt", ids, s.preemptions, s.remainingLifetime);
-    NEON_TRACE(obs::TraceCategory::Serve, obs::TraceKind::FlowStep,
-               "session.flow", ids, 0, 0);
-    emitSession(SessionEvent::Kind::Preempt, s,
-                static_cast<std::int32_t>(s.device));
+    publish(SessionStep::Preempt, s, s.preemptions, s.remainingLifetime);
 
     // The freed slot releases the queue's best request — the
     // preemption-causing interactive, unless a priority retry or an
@@ -678,11 +639,7 @@ ServeEngine::preemptRequeue(std::uint64_t sid)
         return;
     }
 
-    NEON_TRACE(obs::TraceCategory::Serve, obs::TraceKind::Instant,
-               "serve.preempt_requeue",
-               obs::TraceIds{-1, -1, static_cast<std::int32_t>(sid)},
-               s.preemptions, 0);
-    emitSession(SessionEvent::Kind::RetryEnqueue, s);
+    publish(SessionStep::PreemptRequeue, s, s.preemptions);
 
     const ServeClass &c = classes[s.cls];
     const Tick budget = queueBudgetOf(s.cls);
@@ -803,17 +760,7 @@ ServeEngine::tryMigrate()
     victim->device = plan.to;
     victim->devices.push_back(plan.to);
     ++victim->migrations;
-    ++nMigrations;
-
-    const obs::TraceIds mig_ids{static_cast<std::int16_t>(plan.to),
-                                nt.pid(),
-                                static_cast<std::int32_t>(victim->id)};
-    NEON_TRACE(obs::TraceCategory::Serve, obs::TraceKind::Instant,
-               "serve.migrate", mig_ids, plan.from, plan.to);
-    NEON_TRACE(obs::TraceCategory::Serve, obs::TraceKind::FlowStep,
-               "session.flow", mig_ids, plan.lag, 0);
-    emitSession(SessionEvent::Kind::Migrate, *victim,
-                static_cast<std::int32_t>(plan.to));
+    publish(SessionStep::Migrate, *victim, plan.from, plan.to, plan.lag);
 
     startBody(*victim);
     // The session's departure event is untouched: lifetime is wall
@@ -821,17 +768,25 @@ ServeEngine::tryMigrate()
 }
 
 void
-ServeEngine::emitSession(SessionEvent::Kind kind, const SessionRecord &s,
-                         std::int32_t device)
+ServeEngine::publish(SessionStep step, const SessionRecord &s,
+                     std::int64_t arg0, std::int64_t arg1,
+                     std::int64_t hop_arg)
 {
-    if (listeners.empty())
-        return;
-    SessionEvent e;
-    e.kind = kind;
-    e.when = eq.now();
-    e.session = s.id;
-    e.device = device;
-    e.cls = s.cls;
+    static const StepNames names = internStepNames();
+    const std::size_t i = static_cast<std::size_t>(step);
+    const SessionStepRow &row = sessionSteps[i];
+    ++tally[i];
+    const obs::TraceIds ids{
+        row.onDevice ? static_cast<std::int16_t>(s.device) : std::int16_t{-1},
+        s.task ? s.task->pid() : -1, static_cast<std::int32_t>(s.id)};
+    obs::traceRecord(row.cat, names.step[i], row.kind, ids, arg0, arg1);
+    if (row.hop != NoHop)
+        obs::traceRecord(Serve, names.flow, row.hop, ids, hop_arg, 0);
+    if (row.endsSpan)
+        obs::traceRecord(Serve, names.span, obs::TraceKind::AsyncEnd, ids, 0,
+                         0);
+
+    const SessionEvent e{row.event, eq.now(), s.id, ids.device, s.cls};
     for (const auto &fn : listeners)
         fn(e);
 }
@@ -862,16 +817,15 @@ ServeEngine::visitSessions(
     }
 }
 
-std::vector<SessionRecord>
+std::vector<ServeSessionResult>
 ServeEngine::sessionResults() const
 {
-    std::vector<SessionRecord> out;
+    std::vector<ServeSessionResult> out;
     out.reserve(sessions.size());
     for (const auto &sp : sessions) {
-        SessionRecord s = *sp; // copy
-        if (s.task)
-            foldIncarnation(s, fleet.usageOf(*s.task)); // still open
-        out.push_back(std::move(s));
+        out.push_back(*sp); // the outcome half
+        if (sp->task)
+            foldIncarnation(out.back(), fleet.usageOf(*sp->task)); // open
     }
     return out;
 }

@@ -30,6 +30,7 @@
 #ifndef NEON_SERVE_SERVE_ENGINE_HH
 #define NEON_SERVE_SERVE_ENGINE_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -37,6 +38,7 @@
 #include <vector>
 
 #include "fleet/fleet_manager.hh"
+#include "obs/trace.hh"
 #include "serve/admission.hh"
 #include "serve/global_clock.hh"
 #include "serve/rate_limit.hh"
@@ -71,18 +73,16 @@ struct ServeClass
     std::function<Co(Task &, std::uint64_t)> makeBody;
 };
 
-/** Lifecycle record of one session (stable across incarnations). */
-struct SessionRecord
+/** Outcome of one session: the serving analogue of TaskResult. */
+struct ServeSessionResult
 {
-    std::uint64_t id = 0;
-    std::size_t cls = 0;
     std::string label;
     std::string tenant;
+    std::size_t cls = 0; ///< workload class index
 
     Tick arrived = 0;
     Tick admitted = -1;  ///< -1 while queued
     Tick departed = -1;  ///< -1 while live
-    bool done = false;   ///< departed (or killed, shed, or throttled)
     bool killed = false; ///< ended by per-device protection
     bool shed = false;   ///< dropped: retry budget spent or front door
     bool shedPredicted = false; ///< shed by SLO prediction at arrival
@@ -102,7 +102,25 @@ struct SessionRecord
     int migrations = 0;
     std::vector<std::size_t> devices; ///< device of each incarnation
 
-    // Open-incarnation state (engine internals).
+    bool wasAdmitted() const { return admitted >= 0; }
+    bool hasDeparted() const { return departed >= 0; }
+
+    double
+    meanRoundUs() const
+    {
+        return rounds > 0 ? roundUsSum / static_cast<double>(rounds) : 0.0;
+    }
+};
+
+/**
+ * Lifecycle record of one session (stable across incarnations): its
+ * outcome plus the engine's state for the open incarnation.
+ */
+struct SessionRecord : ServeSessionResult
+{
+    std::uint64_t id = 0;
+    bool done = false; ///< departed (or killed, shed, or throttled)
+
     Task *task = nullptr;
     std::size_t device = 0;
     std::size_t placedSlot = 0; ///< index in the engine's placed table
@@ -151,9 +169,63 @@ struct SessionEvent
     Kind kind = Kind::Arrive;
     Tick when = 0;
     std::uint64_t session = 0;
-    std::int32_t device = -1; ///< target device (Admit/Migrate), else -1
-    std::size_t cls = 0;      ///< workload class index
+
+    /**
+     * Device of the step's trace record: the session's device on
+     * admit, migrate (the target), evict, preempt, depart and kill;
+     * -1 on the other steps.
+     */
+    std::int32_t device = -1;
+    std::size_t cls = 0; ///< workload class index
 };
+
+/**
+ * A traced session step. Each step has one row in sessionSteps and
+ * one tally; ServeEngine publishes it at the one place it happens.
+ */
+enum class SessionStep : std::uint8_t
+{
+    Arrive,         ///< entered the system
+    Admit,          ///< first placement
+    Failover,       ///< placed again after a device failure
+    PreemptResume,  ///< placed again after a preemption
+    Migrate,        ///< moved to another device by the global clock
+    Evict,          ///< interrupted by a device failure
+    RetryArrive,    ///< fault backoff over: back in the admission queue
+    PreemptRequeue, ///< preemption backoff over: back in the queue
+    Depart,         ///< lifetime over
+    Kill,           ///< ended by per-device protection
+    Shed,           ///< retry budget spent
+    ShedPredicted,  ///< shed by SLO prediction at arrival
+    Throttle,       ///< rejected by the token bucket
+    Preempt,        ///< displaced by an interactive admission (last)
+};
+
+constexpr std::size_t sessionStepCount =
+    static_cast<std::size_t>(SessionStep::Preempt) + 1;
+
+/** Times each SessionStep was published, indexed by step. */
+using SessionStepTally = std::array<std::uint64_t, sessionStepCount>;
+
+/**
+ * What a session step writes and delivers. Its record carries the
+ * session id and, while the session holds an incarnation, its pid;
+ * a flow hop and a span end repeat the record's ids in the Serve
+ * category.
+ */
+struct SessionStepRow
+{
+    const char *name;        ///< trace name of the step's record
+    obs::TraceCategory cat;  ///< category of that record
+    obs::TraceKind kind;     ///< Instant, or AsyncBegin for the arrival
+    SessionEvent::Kind event; ///< kind delivered to listeners
+    bool onDevice;           ///< the record carries the session's device
+    obs::TraceKind hop;      ///< `session.flow` hop (Instant = none)
+    bool endsSpan;           ///< closes the `session` async span
+};
+
+/** The step table, indexed by SessionStep. */
+extern const std::array<SessionStepRow, sessionStepCount> sessionSteps;
 
 /** Drives arrivals, admission, placement, migration, and departures. */
 class ServeEngine
@@ -178,10 +250,16 @@ class ServeEngine
     // ------------------------------------------------------------------
 
     /**
-     * Per-session records with the open incarnation's usage folded in
+     * Per-session outcomes with the open incarnation's usage folded in
      * (safe to call mid-run; does not mutate engine state).
      */
-    std::vector<SessionRecord> sessionResults() const;
+    std::vector<ServeSessionResult> sessionResults() const;
+
+    /** The record of session @p sid (ids are dense, from 0). */
+    const SessionRecord &session(std::uint64_t sid) const
+    {
+        return *sessions[sid];
+    }
 
     /**
      * Visit every session record in id order without copying; @p fn
@@ -203,16 +281,38 @@ class ServeEngine
     const std::vector<ServeClass> &workloadClasses() const { return classes; }
     const AdmissionController &admissionState() const { return adm; }
 
-    std::uint64_t arrivalsSeen() const { return nArrivals; }
-    std::uint64_t departures() const { return nDepartures; }
-    std::uint64_t killedSessions() const { return nKilled; }
-    std::uint64_t migrationCount() const { return nMigrations; }
-    std::uint64_t evictedSessions() const { return nEvicted; }
-    std::uint64_t failoverCount() const { return nFailovers; }
-    std::uint64_t shedSessions() const { return nShed; }
-    std::uint64_t throttledSessions() const { return nThrottled; }
-    std::uint64_t predictiveSheds() const { return nShedPredicted; }
-    std::uint64_t preemptionCount() const { return nPreemptions; }
+    /** Times each session step was published so far. */
+    const SessionStepTally &stepTally() const { return tally; }
+
+    std::uint64_t arrivalsSeen() const { return count(SessionStep::Arrive); }
+    std::uint64_t departures() const { return count(SessionStep::Depart); }
+    std::uint64_t killedSessions() const { return count(SessionStep::Kill); }
+    std::uint64_t migrationCount() const
+    {
+        return count(SessionStep::Migrate);
+    }
+    std::uint64_t evictedSessions() const { return count(SessionStep::Evict); }
+    std::uint64_t failoverCount() const
+    {
+        return count(SessionStep::Failover);
+    }
+    /** All sheds: retry budget spent plus front-door predictions. */
+    std::uint64_t shedSessions() const
+    {
+        return count(SessionStep::Shed) + predictiveSheds();
+    }
+    std::uint64_t throttledSessions() const
+    {
+        return count(SessionStep::Throttle);
+    }
+    std::uint64_t predictiveSheds() const
+    {
+        return count(SessionStep::ShedPredicted);
+    }
+    std::uint64_t preemptionCount() const
+    {
+        return count(SessionStep::Preempt);
+    }
     std::size_t liveSessions() const { return nLive; }
     std::size_t peakLiveSessions() const { return peakLive; }
     std::size_t slotsPerDevice() const { return slots; }
@@ -240,7 +340,7 @@ class ServeEngine
      * varies by incarnation; the last one's speed stands in for the
      * busy-weighted mean, whose per-incarnation split is not retained.
      */
-    double serviceRate(const SessionRecord &s, Tick busy,
+    double serviceRate(const ServeSessionResult &s, Tick busy,
                        Tick residency) const;
 
   private:
@@ -269,8 +369,21 @@ class ServeEngine
     void onClockTick();
     void tryMigrate();
     std::uint64_t bodySeed(const SessionRecord &s) const;
-    void emitSession(SessionEvent::Kind kind, const SessionRecord &s,
-                     std::int32_t device = -1);
+
+    /**
+     * Publish one step of @p s: write its trace records (the step's
+     * own with @p arg0 / @p arg1, then its flow hop with @p hop_arg
+     * and its span end), bump its tally and deliver its SessionEvent.
+     */
+    void publish(SessionStep step, const SessionRecord &s,
+                 std::int64_t arg0 = 0, std::int64_t arg1 = 0,
+                 std::int64_t hop_arg = 0);
+
+    std::uint64_t
+    count(SessionStep step) const
+    {
+        return tally[static_cast<std::size_t>(step)];
+    }
 
     EventQueue &eq;
     FleetManager &fleet;
@@ -297,16 +410,7 @@ class ServeEngine
     std::vector<std::uint64_t> placed;
     std::vector<std::function<void(const SessionEvent &)>> listeners;
 
-    std::uint64_t nArrivals = 0;
-    std::uint64_t nDepartures = 0;
-    std::uint64_t nKilled = 0;
-    std::uint64_t nMigrations = 0;
-    std::uint64_t nEvicted = 0;
-    std::uint64_t nFailovers = 0;
-    std::uint64_t nShed = 0;
-    std::uint64_t nShedPredicted = 0;
-    std::uint64_t nThrottled = 0;
-    std::uint64_t nPreemptions = 0;
+    SessionStepTally tally{};
     std::size_t nLive = 0;
     std::size_t peakLive = 0;
 };

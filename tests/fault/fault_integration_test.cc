@@ -125,7 +125,6 @@ TEST(FaultIntegration, OversubscribedFleetSurvivesScriptedFaults)
     // The death interrupted live sessions; every one of them failed
     // over and eventually departed (acceptance asks for >= 95%).
     EXPECT_GE(r.evictions, 1u);
-    EXPECT_EQ(f.evictedSessions, r.evictions);
     EXPECT_GE(r.recoveryRate, 0.95);
     EXPECT_EQ(r.shedSessions, 0u);
     EXPECT_GE(r.failovers, r.evictions); // every interruption resumed
@@ -222,7 +221,7 @@ TEST(FaultIntegration, RetryBackoffStaysCappedThroughALongOutage)
             EXPECT_FALSE(s.shedPredicted);
             EXPECT_EQ(r.shedSessions, 1u);
             EXPECT_EQ(r.departures, 0u);
-            EXPECT_EQ(r.fault.shedSessions, 1u);
+            EXPECT_EQ(r.shedSessions - r.predictiveSheds, 1u);
         }
         // Conservation: the one arrival ended exactly one way.
         EXPECT_EQ(r.arrivals, 1u);

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <typeindex>
+#include <utility>
+#include <vector>
+
 #include "fleet/placement.hh"
 
 namespace neon
@@ -270,13 +274,19 @@ TEST(HeterogeneityAwarePlacement, ResidentDemandCountsNotTaskCount)
 TEST(MakePlacementPolicy, BuildsEveryKind)
 {
     FleetConfig cfg;
-    for (PlacementKind k :
-         {PlacementKind::RoundRobin, PlacementKind::LeastLoaded,
-          PlacementKind::Sticky, PlacementKind::HeterogeneityAware}) {
+    const std::vector<std::pair<PlacementKind, std::type_index>> kinds = {
+        {PlacementKind::RoundRobin, typeid(RoundRobinPlacement)},
+        {PlacementKind::LeastLoaded, typeid(LeastLoadedPlacement)},
+        {PlacementKind::Sticky, typeid(StickyPlacement)},
+        {PlacementKind::HeterogeneityAware,
+         typeid(HeterogeneityAwarePlacement)},
+    };
+    for (const auto &[k, type] : kinds) {
+        SCOPED_TRACE(placementKindName(k));
         cfg.placement = k;
         auto p = makePlacementPolicy(cfg);
         ASSERT_NE(p, nullptr);
-        EXPECT_EQ(p->name(), placementKindName(k));
+        EXPECT_EQ(std::type_index(typeid(*p)), type);
     }
 }
 

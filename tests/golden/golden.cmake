@@ -8,6 +8,10 @@
 #   cmake -DSURFACE=<name> -DEXE=<path> -DWORKDIR=<dir> -DDIGESTS=<file>
 #         -P golden.cmake
 #
+# Optional: ARGS, EXE's arguments (one space-separated string), and PRE,
+# a program run first in the same directory; what PRE writes is EXE's
+# input and is not digested.
+#
 # With NEON_GOLDEN_RECORD set in the environment, SURFACE's lines in
 # DIGESTS are rewritten from this run instead of checked:
 #
@@ -21,7 +25,19 @@ endforeach()
 
 file(REMOVE_RECURSE ${WORKDIR})
 file(MAKE_DIRECTORY ${WORKDIR}/run)
-execute_process(COMMAND ${EXE}
+set(inputs "")
+if(DEFINED PRE)
+  execute_process(COMMAND ${PRE}
+                  WORKING_DIRECTORY ${WORKDIR}/run
+                  OUTPUT_QUIET
+                  RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "${PRE} exited with '${rc}'")
+  endif()
+  file(GLOB_RECURSE inputs RELATIVE ${WORKDIR}/run ${WORKDIR}/run/*)
+endif()
+separate_arguments(args UNIX_COMMAND "${ARGS}")
+execute_process(COMMAND ${EXE} ${args}
                 WORKING_DIRECTORY ${WORKDIR}/run
                 OUTPUT_FILE ${WORKDIR}/stdout
                 RESULT_VARIABLE rc)
@@ -31,6 +47,9 @@ endif()
 
 # This run's digest lines, ordered by output name as DIGESTS is.
 file(GLOB_RECURSE outputs RELATIVE ${WORKDIR}/run ${WORKDIR}/run/*)
+if(inputs)
+  list(REMOVE_ITEM outputs ${inputs})
+endif()
 list(APPEND outputs stdout)
 list(SORT outputs)
 set(actual "")

@@ -7,7 +7,9 @@
  * whole-run window must reproduce the final service
  * fairness index bit-for-bit, the windowed timeline must be
  * deterministic across repeats and worker-thread counts, and replaying
- * an exported trace must reproduce the in-process attribution.
+ * an exported trace must reproduce the in-process attribution. The
+ * session steps' trace records are pinned by digest, and the events
+ * replayed from them must equal the engine's live event stream.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +17,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -125,7 +128,7 @@ controlScenarioSpecs()
 struct Scenario
 {
     const char *name;
-    bool control; ///< the control-plane scenario (else the faulty one)
+    bool control; ///< the control-plane scenario (else a fault one)
     ExperimentConfig cfg;
     std::vector<ServeWorkloadSpec> specs;
 };
@@ -137,6 +140,172 @@ scenarios()
         {"faults", false, faultyScenarioConfig(), faultyScenarioSpecs()},
         {"control", true, controlScenarioConfig(), controlScenarioSpecs()},
     };
+}
+
+/**
+ * The analysis scenarios plus an outage: a one-device fleet whose
+ * device dies for 10 s under both of its sessions, so each spends its
+ * retry budget on the hopeless fleet and is shed. Together they take
+ * every traced session step.
+ */
+std::vector<Scenario>
+lifecycleScenarios()
+{
+    std::vector<Scenario> out = scenarios();
+    ExperimentConfig cfg;
+    cfg.sched = SchedKind::DisengagedFq;
+    cfg.fleet.devices = 1;
+    cfg.serve.slotsPerDevice = 2;
+    cfg.measure = msec(500);
+    cfg.fault.plan.script = {
+        {msec(100), FaultKind::DeviceDeath, 0, sec(10)},
+    };
+    WorkloadSpec w = WorkloadSpec::throttle(usec(300));
+    w.label = "sess";
+    out.push_back({"outage", false, cfg,
+                   {{w, ArrivalSpec::trace({0, msec(10)}),
+                     LifetimeSpec::fixed(sec(1))}}});
+    return out;
+}
+
+/** Run @p world over @p sc's horizon; its capture must drop nothing. */
+void
+runCaptured(const Scenario &sc, ServeWorld &world)
+{
+    world.start();
+    world.runFor(sc.cfg.measure);
+    ASSERT_NE(world.observer, nullptr);
+    ASSERT_EQ(world.observer->droppedRecords(), 0u);
+}
+
+/** FNV-1a over every field of each record, the name by its string. */
+std::uint64_t
+recordDigest(const std::vector<TraceRecord> &records)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    const auto mix = [&h](const void *p, std::size_t n) {
+        const auto *b = static_cast<const unsigned char *>(p);
+        for (std::size_t i = 0; i < n; ++i) {
+            h ^= b[i];
+            h *= 0x100000001b3ull;
+        }
+    };
+    for (const TraceRecord &r : records) {
+        const std::string &name = traceNameOf(r.name);
+        mix(name.c_str(), name.size() + 1);
+        for (const std::int64_t v :
+             {std::int64_t{r.when}, std::int64_t{r.cat},
+              static_cast<std::int64_t>(r.kind), std::int64_t{r.device},
+              std::int64_t{r.pid}, std::int64_t{r.session}, r.arg0,
+              r.arg1})
+            mix(&v, sizeof v);
+    }
+    return h;
+}
+
+TEST(Analyze, LifecycleRecordsKeepTheirDigests)
+{
+    // Every Serve, Fault and Fleet record (time, name, category, kind,
+    // ids, args), in capture order, digested per scenario: however the
+    // engine writes its session steps, it writes these records in this
+    // order.
+    struct Want
+    {
+        const char *scenario;
+        std::size_t records;
+        std::uint64_t digest;
+    };
+    const std::vector<Want> want = {
+        {"faults", 647, 0x14dabf27b99dce42ull},
+        {"control", 1950, 0xcd2a19189095581bull},
+        {"outage", 30, 0x8d34b797f2344219ull},
+    };
+    std::set<std::string> steps;
+    const std::vector<Scenario> all = lifecycleScenarios();
+    ASSERT_EQ(all.size(), want.size());
+    for (std::size_t i = 0; i < all.size(); ++i) {
+        Scenario sc = all[i];
+        SCOPED_TRACE(sc.name);
+        sc.cfg.observe.categories =
+            static_cast<std::uint32_t>(TraceCategory::Serve) |
+            static_cast<std::uint32_t>(TraceCategory::Fault) |
+            static_cast<std::uint32_t>(TraceCategory::Fleet);
+        sc.cfg.observe.bufferCapacity = std::size_t(1) << 20;
+        ServeWorld world(sc.cfg, sc.specs);
+        ASSERT_NO_FATAL_FAILURE(runCaptured(sc, world));
+        const std::vector<TraceRecord> records =
+            world.observer->mergedRecords();
+        for (const TraceRecord &r : records) {
+            const std::string &name = traceNameOf(r.name);
+            if (name.rfind("serve.", 0) == 0 ||
+                (name == "session" && r.kind == TraceKind::AsyncBegin))
+                steps.insert(name);
+        }
+        EXPECT_STREQ(sc.name, want[i].scenario);
+        EXPECT_EQ(records.size(), want[i].records);
+        EXPECT_EQ(recordDigest(records), want[i].digest)
+            << std::hex << "0x" << recordDigest(records);
+    }
+
+    // The three scenarios take every traced session step.
+    for (const char *step :
+         {"session", "serve.admit", "serve.failover",
+          "serve.preempt_resume", "serve.migrate", "serve.evict",
+          "serve.retry_arrive", "serve.preempt_requeue", "serve.depart",
+          "serve.session_killed", "serve.shed", "serve.shed_predicted",
+          "serve.throttle", "serve.preempt"})
+        EXPECT_EQ(steps.count(step), 1u) << step;
+}
+
+TEST(Analyze, ReplayedStreamEqualsLiveStream)
+{
+    // A listener's SessionEvents and the events rebuilt from the same
+    // run's records export are one stream: same length, and equal
+    // field for field (kind, time, session, device, class).
+    for (Scenario &sc : lifecycleScenarios()) {
+        SCOPED_TRACE(sc.name);
+        sc.cfg.observe.categories = defaultTraceCategories;
+        sc.cfg.observe.bufferCapacity = std::size_t(1) << 20;
+        sc.cfg.observe.recordsJsonlPath = ::testing::TempDir() +
+            "lifecycle_stream_" + sc.name + ".jsonl";
+
+        ServeWorld world(sc.cfg, sc.specs);
+        std::vector<SessionEvent> live;
+        world.engine.addSessionListener(
+            [&live](const SessionEvent &e) { live.push_back(e); });
+        ASSERT_NO_FATAL_FAILURE(runCaptured(sc, world));
+        world.observer->writeOutputs();
+
+        std::ifstream in(sc.cfg.observe.recordsJsonlPath);
+        ASSERT_TRUE(in) << sc.cfg.observe.recordsJsonlPath;
+        const std::vector<SessionEvent> replayed =
+            sessionEventsFromJsonl(in);
+        in.close();
+        std::remove(sc.cfg.observe.recordsJsonlPath.c_str());
+
+        ASSERT_FALSE(live.empty());
+        ASSERT_EQ(replayed.size(), live.size());
+        std::size_t mismatches = 0;
+        for (std::size_t i = 0; i < live.size(); ++i) {
+            const SessionEvent &a = live[i];
+            const SessionEvent &b = replayed[i];
+            if (a.kind == b.kind && a.when == b.when &&
+                a.session == b.session && a.device == b.device &&
+                a.cls == b.cls)
+                continue;
+            if (++mismatches <= 3) {
+                ADD_FAILURE()
+                    << "event " << i << ": live kind "
+                    << static_cast<int>(a.kind) << " when " << a.when
+                    << " session " << a.session << " device " << a.device
+                    << " class " << a.cls << ", replayed kind "
+                    << static_cast<int>(b.kind) << " when " << b.when
+                    << " session " << b.session << " device " << b.device
+                    << " class " << b.cls;
+            }
+        }
+        EXPECT_EQ(mismatches, 0u) << "of " << live.size() << " events";
+    }
 }
 
 TEST(Analyze, PhasePartitionExactUnderScriptedFaults)

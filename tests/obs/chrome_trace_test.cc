@@ -200,7 +200,7 @@ TEST(ChromeTrace, WriterEmitsBalancedJsonWithTrackMetadata)
     ring.push(rec(usec(3), "mark \"quoted\"", TraceKind::Instant, 1));
 
     std::ostringstream os;
-    writeChromeTrace(os, ring);
+    writeChromeTrace(os, buildChromeEvents(ring.snapshot()));
     const std::string out = os.str();
 
     expectBalancedJson(out);

@@ -22,8 +22,6 @@ class ScriptedScheduler : public Scheduler
   public:
     explicit ScriptedScheduler(KernelModule &k) : Scheduler(k) {}
 
-    std::string name() const override { return "scripted"; }
-
     void
     onChannelActive(Channel &c) override
     {
