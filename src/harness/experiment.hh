@@ -91,8 +91,9 @@ struct ExperimentConfig
 
     /**
      * Sharded parallel simulation core: the fleet is partitioned into
-     * `shards.count` device groups, each on its own event queue and
-     * worker thread, synchronized on a conservative window grid
+     * `shards.count` device groups, each on its own event queue,
+     * driven by `shards.threads` threads (the calling thread included)
+     * and synchronized on a conservative window grid
      * (resolveShardWindow). count <= 1 (the default) keeps the serial
      * single-queue core; 1-shard runs are bit-identical to it, and
      * N-shard runs are deterministic across repeats and thread counts.

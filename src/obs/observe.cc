@@ -153,11 +153,15 @@ printRecordJson(std::ostream &os, const TraceRecord &r)
 void
 Observer::writeOutputs()
 {
+    // The trace JSON and the JSONL export the same merged timeline.
+    std::vector<TraceRecord> records;
+    if (!cfg.tracePath.empty() || !cfg.recordsJsonlPath.empty())
+        records = mergedRecords();
     if (!cfg.tracePath.empty()) {
         std::ofstream os(cfg.tracePath);
         if (!os)
             fatal("cannot open trace output '", cfg.tracePath, "'");
-        writeChromeTrace(os, buildChromeEvents(mergedRecords()));
+        writeChromeTrace(os, buildChromeEvents(records));
     }
     if (!cfg.countersCsvPath.empty()) {
         std::ofstream os(cfg.countersCsvPath);
@@ -170,7 +174,7 @@ Observer::writeOutputs()
         if (!os)
             fatal("cannot open records output '", cfg.recordsJsonlPath,
                   "'");
-        for (const TraceRecord &r : mergedRecords())
+        for (const TraceRecord &r : records)
             printRecordJson(os, r);
     }
 }

@@ -89,6 +89,14 @@ class Observer
     Observer &operator=(const Observer &) = delete;
 
     TraceRecorder &recorder() { return ring; }
+
+    /** Shard @p s's ring (attachShards; parallel runs only). */
+    const TraceRecorder &
+    shardRecorder(std::size_t s) const
+    {
+        return *shardRings.at(s);
+    }
+
     MetricsRegistry &metrics() { return registry; }
     const ObserveConfig &config() const { return cfg; }
 
@@ -107,7 +115,7 @@ class Observer
 
     /**
      * Give every shard of a parallel run its own trace ring (same
-     * capacity as the main ring), so shard workers record lock-free;
+     * capacity as the main ring), so each shard records lock-free;
      * writeOutputs() merges all rings by virtual time. No-op for a
      * serial engine.
      */

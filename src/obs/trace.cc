@@ -102,9 +102,10 @@ TraceRecorder::snapshot() const
 namespace
 {
 
-// Thread-local: each shard worker points its sink at the shard's own
-// ring for the duration of a parallel phase, so the hot enabled path
-// stays lock-free — one writer per ring, merged at export time.
+// Thread-local: the thread driving a shard points its sink at the
+// shard's own ring for the duration of a parallel phase, so the hot
+// enabled path stays lock-free — one writer per ring, merged at export
+// time.
 thread_local TraceRecorder *sinkRecorder = nullptr;
 thread_local const EventQueue *sinkClock = nullptr;
 
@@ -146,11 +147,13 @@ setTraceSink(TraceRecorder *r, std::uint32_t mask, const EventQueue *clock)
     detail::activeMask = r ? mask : 0;
 }
 
-void
-installThreadTraceSink(TraceRecorder *r, const EventQueue *clock)
+ThreadTraceSink
+installThreadTraceSink(const ThreadTraceSink &sink)
 {
-    sinkRecorder = r;
-    sinkClock = r ? clock : nullptr;
+    const ThreadTraceSink outer{sinkRecorder, sinkClock};
+    sinkRecorder = sink.recorder;
+    sinkClock = sink.recorder ? sink.clock : nullptr;
+    return outer;
 }
 
 TraceRecorder *

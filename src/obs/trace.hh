@@ -193,21 +193,30 @@ void emitTrace(TraceCategory cat, std::uint16_t name, TraceKind kind,
  *
  * The category mask is process-global (it is the one branch every
  * disabled trace point pays), while the sink itself is thread-local:
- * in a sharded run the coordinator's records land in the Observer's
- * main ring and each worker redirects to the shard ring of whichever
- * shard it is currently driving (installThreadTraceSink). Only the
- * coordinator — with workers parked at a window barrier — may call
+ * in a sharded run the coordinator's control-queue records land in the
+ * Observer's main ring, and whichever thread drives a shard redirects
+ * to that shard's ring for the shard's phase (installThreadTraceSink).
+ * Only the coordinator, outside the parallel phase, may call
  * setTraceSink, so the mask write is ordered by the barrier handoff.
  */
 void setTraceSink(TraceRecorder *r, std::uint32_t mask,
                   const EventQueue *clock = nullptr);
 
+/** One thread's trace sink: its ring and the clock stamping records. */
+struct ThreadTraceSink
+{
+    TraceRecorder *recorder = nullptr;
+    const EventQueue *clock = nullptr;
+};
+
 /**
- * Point the calling thread's sink at @p r clocked by @p clock without
- * touching the global category mask. Workers bracket each shard's
- * parallel phase with this; null detaches.
+ * Point the calling thread's sink at @p sink without touching the
+ * global category mask (a null recorder detaches), and return the sink
+ * it replaces. Each shard's phase is bracketed by this: the coordinator
+ * drives shards between its own control work, so it reinstalls the
+ * returned sink afterwards.
  */
-void installThreadTraceSink(TraceRecorder *r, const EventQueue *clock);
+ThreadTraceSink installThreadTraceSink(const ThreadTraceSink &sink);
 
 /** The calling thread's installed sink, if any. */
 TraceRecorder *traceSink();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <utility>
 
 #include "obs/trace.hh"
 #include "sim/logging.hh"
@@ -11,6 +12,62 @@ namespace neon
 
 namespace
 {
+
+// Barrier wait bounds. A waiter spins on `pause` for at most
+// pauseSpin, then yields its core (so an oversubscribed host still
+// runs the thread it waits for) until yieldSpin has passed, and only
+// then sleeps in the futex wait. A barrier phase or the spread of shard
+// finish times rarely outlasts the yield phase, so windows seldom pay
+// the host's wake-up latency. A longer `pause` phase starves other
+// processes on a busy host; without the yield phase most waits sleep.
+constexpr auto pauseSpin = std::chrono::microseconds(10);
+constexpr auto yieldSpin = std::chrono::microseconds(200);
+
+void
+cpuRelax()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield");
+#endif
+}
+
+/**
+ * Wait until @p cell no longer reads @p old; return what it reads
+ * (acquire). The futex wait is the last resort: notify skips the futex
+ * call when nobody sleeps, and wait() re-checks the value before
+ * sleeping, so no wake-up is lost.
+ */
+template <typename T>
+T
+awaitChange(const std::atomic<T> &cell, T old)
+{
+    using Clock = std::chrono::steady_clock;
+    T v = cell.load(std::memory_order_acquire);
+    if (v != old)
+        return v;
+    const Clock::time_point t0 = Clock::now();
+    do {
+        for (int i = 0; i < 16; ++i) {
+            cpuRelax();
+            v = cell.load(std::memory_order_acquire);
+            if (v != old)
+                return v;
+        }
+    } while (Clock::now() - t0 < pauseSpin);
+    do {
+        std::this_thread::yield();
+        v = cell.load(std::memory_order_acquire);
+        if (v != old)
+            return v;
+    } while (Clock::now() - t0 < yieldSpin);
+    while (v == old) {
+        cell.wait(old, std::memory_order_acquire);
+        v = cell.load(std::memory_order_acquire);
+    }
+    return v;
+}
 
 /**
  * The shard a thread is currently executing (parallel phase only).
@@ -53,10 +110,13 @@ ShardedEngine::ShardedEngine(const ShardConfig &cfg, EventQueue &control,
         : std::max(1u, std::thread::hardware_concurrency());
     threads = std::min<unsigned>(threads, static_cast<unsigned>(nShards));
     nThreads_ = threads; // fixed before spawning: workers read it
+    if (threads == 1)
+        return; // the coordinator drives every shard itself
 
+    // Thread 0 is the coordinator; workers are threads 1 .. T-1.
     const auto t0 = std::chrono::steady_clock::now();
-    workers.reserve(threads);
-    for (unsigned w = 0; w < threads; ++w)
+    workers.reserve(threads - 1);
+    for (unsigned w = 1; w < threads; ++w)
         workers.emplace_back([this, w] { workerMain(w); });
     setupS = std::chrono::duration<double>(
                  std::chrono::steady_clock::now() - t0)
@@ -80,22 +140,7 @@ ShardedEngine::workerMain(unsigned w)
     const unsigned nThreads = nThreads_;
     std::uint64_t seen = 0;
     for (;;) {
-        std::uint64_t g = go.load(std::memory_order_acquire);
-        if (g == seen) {
-            // Spin briefly — windows are short, and the next one
-            // usually opens within microseconds — then fall back to a
-            // futex wait so idle shards never burn a core.
-            for (int i = 0; i < 4096; ++i) {
-                g = go.load(std::memory_order_acquire);
-                if (g != seen)
-                    break;
-            }
-            while (g == seen) {
-                go.wait(seen, std::memory_order_acquire);
-                g = go.load(std::memory_order_acquire);
-            }
-        }
-        seen = g;
+        seen = awaitChange(go, seen);
         if (stopping.load(std::memory_order_relaxed))
             return;
         const Tick b = target;
@@ -109,12 +154,16 @@ ShardedEngine::workerMain(unsigned w)
 void
 ShardedEngine::runShard(std::size_t s, Tick b)
 {
+    // The coordinator drives shards between its own control work, so
+    // the thread's shard context and trace sink are put back, not
+    // cleared, when the shard's phase ends.
     ShardContext ctx{&mailboxes[s], queues[s].get()};
-    tlsShard = &ctx;
-    obs::installThreadTraceSink(shardSinks[s], queues[s].get());
+    ShardContext *const outer = std::exchange(tlsShard, &ctx);
+    const obs::ThreadTraceSink outerSink =
+        obs::installThreadTraceSink({shardSinks[s], queues[s].get()});
     queues[s]->runUntil(b);
-    obs::installThreadTraceSink(nullptr, nullptr);
-    tlsShard = nullptr;
+    obs::installThreadTraceSink(outerSink);
+    tlsShard = outer;
 }
 
 void
@@ -126,15 +175,10 @@ ShardedEngine::runShardsTo(Tick b)
     go.notify_all();
 
     const unsigned nThreads = nThreads_;
-    unsigned d = done.load(std::memory_order_acquire);
-    while (d != nThreads) {
-        for (int i = 0; i < 4096 && d != nThreads; ++i)
-            d = done.load(std::memory_order_acquire);
-        if (d != nThreads) {
-            done.wait(d, std::memory_order_acquire);
-            d = done.load(std::memory_order_acquire);
-        }
-    }
+    for (std::size_t s = 0; s < nShards; s += nThreads)
+        runShard(s, b);
+    for (unsigned d = 0; d != nThreads - 1;)
+        d = awaitChange(done, d);
 }
 
 void
@@ -181,7 +225,7 @@ ShardedEngine::runUntil(Tick t)
     while (control.now() < t) {
         const Tick b = std::min(control.now() + window_, t);
 
-        // Parallel phase: every shard to the boundary, workers only.
+        // Parallel phase: every shard to the boundary.
         runShardsTo(b);
 
         // Barrier phase: control events run at their own timestamps,

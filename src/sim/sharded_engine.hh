@@ -4,7 +4,8 @@
  * discrete-event core.
  *
  * The fleet is partitioned into device groups ("shards"), each with
- * its own EventQueue driven by a worker thread. Device stacks only
+ * its own EventQueue. The calling (coordinator) thread drives some
+ * shards itself and worker threads drive the rest. Device stacks only
  * interact with the rest of the system through the serve layer's
  * decisions (admission, migration, the global virtual clock) and the
  * fault plan — all of which run on a separate *control* queue — so a
@@ -13,19 +14,21 @@
  * advances simulated time on a fixed window grid:
  *
  *   1. Parallel phase: every shard queue runs to the window boundary
- *      b = min(now + W, t) on the worker pool. Shards touch only
- *      their own devices' state; the only outbound effects (protection
- *      kills, watchdog verdicts) are posted to per-shard mailboxes.
- *   2. Barrier phase (workers parked, coordinator thread only): the
- *      control queue runs to b — arrivals, admission, global-clock
- *      ticks, and fault-plan events execute at their exact timestamps
- *      — then the mailboxes are drained in canonical (when, shard,
- *      seq) order at time b, and any follow-up control events at b run.
+ *      b = min(now + W, t), on the coordinator and the workers alike.
+ *      Shards touch only their own devices' state; the only outbound
+ *      effects (protection kills, watchdog verdicts) are posted to
+ *      per-shard mailboxes.
+ *   2. Barrier phase (workers waiting for the next window, coordinator
+ *      thread only): the control queue runs to b — arrivals,
+ *      admission, global-clock ticks, and fault-plan events execute at
+ *      their exact timestamps — then the mailboxes are drained in
+ *      canonical (when, shard, seq) order at time b, and any follow-up
+ *      control events at b run.
  *
  * Determinism: within a window each shard is an ordinary serial
  * EventQueue, and the mailbox merge order is a pure function of the
  * simulation, so an N-shard run is bit-identical across repeats and
- * across worker-thread counts. With count <= 1 the engine degenerates
+ * across thread counts. With count <= 1 the engine degenerates
  * to the control queue itself — the serial core, untouched — so a
  * 1-shard run is bit-identical to the pre-sharding simulator by
  * construction.
@@ -69,9 +72,13 @@ struct ShardConfig
     unsigned count = 0;
 
     /**
-     * Worker threads driving the shards (shards are dealt round-robin
-     * to workers). 0 = min(count, hardware_concurrency). Thread count
-     * affects wall-clock speed only, never results.
+     * Threads driving the shards, the coordinator (the thread calling
+     * runUntil) included: shards are dealt round-robin, the
+     * coordinator runs shards 0, T, 2T, ... itself, and T - 1 workers
+     * are spawned. 1 = every shard on the coordinator, no worker
+     * thread. 0 = min(count, hardware_concurrency). Clamped to the
+     * shard count. Thread count affects wall-clock speed only, never
+     * results.
      */
     unsigned threads = 0;
 
@@ -98,7 +105,7 @@ class ShardedEngine
     ShardedEngine(const ShardConfig &cfg, EventQueue &control,
                   std::size_t devices);
 
-    /** Parks and joins the worker pool. */
+    /** Stops and joins the worker threads. */
     ~ShardedEngine();
 
     ShardedEngine(const ShardedEngine &) = delete;
@@ -107,7 +114,10 @@ class ShardedEngine
     /** Shards actually in use (1 in serial mode). */
     std::size_t shardCount() const { return nShards; }
 
-    /** Worker threads actually spawned (0 in serial mode). */
+    /**
+     * Threads driving the shards, the coordinator included (0 in
+     * serial mode); threadCount() - 1 workers are spawned.
+     */
     unsigned threadCount() const { return nThreads_; }
 
     /** The window grid spacing (0 in serial mode). */
@@ -153,7 +163,10 @@ class ShardedEngine
     /** Barrier windows completed (stats/tests). */
     std::uint64_t windowsRun() const { return nWindows; }
 
-    /** Wall seconds spent spawning the worker pool (bench reporting). */
+    /**
+     * Wall seconds spent spawning the worker threads (bench
+     * reporting; 0 when no worker is spawned).
+     */
     double setupSeconds() const { return setupS; }
 
     // ------------------------------------------------------------------
@@ -185,9 +198,10 @@ class ShardedEngine
     // ------------------------------------------------------------------
 
     /**
-     * Install @p r as shard @p s's trace ring: the worker points the
-     * thread-local trace sink at it (clocked by the shard's queue) for
-     * the duration of each parallel phase. Null detaches.
+     * Install @p r as shard @p s's trace ring: whichever thread drives
+     * the shard points its thread-local trace sink at it (clocked by
+     * the shard's queue) for the duration of each parallel phase, then
+     * puts its own sink back. Null detaches.
      */
     void setShardTraceSink(std::size_t s, obs::TraceRecorder *r);
 
@@ -214,11 +228,14 @@ class ShardedEngine
     double setupS = 0.0;
 
     // Window barrier: the coordinator publishes a target tick and bumps
-    // `go` (release); workers acquire it, run their shards, and bump
-    // `done` (release), which the coordinator acquires — that pair of
-    // edges is the only synchronization the whole engine needs, and it
-    // carries every plain-variable handoff (target, shard queues,
-    // mailboxes, trace sinks) across the phase boundary.
+    // `go` (release), then runs its own shards; workers acquire `go`,
+    // run theirs, and bump `done` (release), which the coordinator
+    // acquires — that pair of edges is the only synchronization the
+    // whole engine needs, and it carries every plain-variable handoff
+    // (target, shard queues, mailboxes, trace sinks) across the phase
+    // boundary. Each side waits by spinning, then yielding, and sleeps
+    // in a futex wait only past a time bound, so a window in which
+    // nobody sleeps makes no futex call.
     Tick target = 0;
     unsigned nThreads_ = 0;
     std::atomic<std::uint64_t> go{0};

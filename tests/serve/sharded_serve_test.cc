@@ -2,18 +2,23 @@
  * @file
  * End-to-end determinism of sharded serving runs: a 1-shard run is
  * bit-identical to the legacy serial core, an N-shard run is
- * bit-identical across repeats and worker-thread counts, and the
+ * bit-identical across repeats and worker-thread counts, each trace
+ * record lands in the ring of the queue that produced it, and the
  * session ledger reconciles exactly against the device meters under
  * sharded migration and scripted device death.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "harness/serve_runner.hh"
+#include "obs/observe.hh"
+#include "obs/trace.hh"
 
 namespace neon
 {
@@ -122,6 +127,82 @@ TEST(ShardedServe, NShardDeterministicAcrossRepeatsAndThreads)
     EXPECT_EQ(runFingerprint(cfg), base); // oversubscribed workers
     cfg.shards.threads = 4;
     EXPECT_EQ(runFingerprint(cfg), base);
+}
+
+TEST(ShardedServe, TraceRingsHoldTheirOwnRecordsAtEveryThreadCount)
+{
+    // The coordinator drives shard 0 between its control work, so its
+    // records must go to shard 0's ring for that phase only. At every
+    // thread count the main ring holds every arrival's record and no
+    // record of the per-device loops that run only on shard queues
+    // (polls, doorbells); the control plane's own calls into a device
+    // (a departure's retire, say) are recorded there too. Each shard
+    // ring holds its own devices' records only, and the merged
+    // timeline is the same.
+    ExperimentConfig cfg = shardedServeConfig();
+    cfg.shards.count = 3;
+    cfg.measure = msec(300);
+    cfg.observe.categories = obs::defaultTraceCategories;
+    cfg.observe.bufferCapacity = std::size_t(1) << 18;
+
+    using Key = std::tuple<Tick, std::uint16_t, std::uint8_t, int,
+                           std::int16_t, std::int32_t, std::int32_t,
+                           std::int64_t, std::int64_t>;
+    const auto tracedRun = [&](unsigned threads) -> std::vector<Key> {
+        ExperimentConfig c = cfg;
+        c.shards.threads = threads;
+        ServeWorld world(c, shardedServeSpecs());
+        world.start();
+        world.runFor(c.measure);
+        const ServeRunResult r = world.results();
+        const obs::Observer &o = *world.observer;
+        EXPECT_EQ(world.shardCore.threadCount(), threads);
+        EXPECT_EQ(o.droppedRecords(), 0u);
+
+        const auto shardLoop = [](const obs::TraceRecord &rec) {
+            const std::string &name = obs::traceNameOf(rec.name);
+            return name == "kern.poll" || name.rfind("kern.doorbell", 0) == 0;
+        };
+        std::uint64_t arrivals = 0;
+        for (const obs::TraceRecord &rec :
+             world.observer->recorder().snapshot()) {
+            EXPECT_FALSE(shardLoop(rec))
+                << "main ring holds " << obs::traceNameOf(rec.name)
+                << " of device " << rec.device;
+            if (rec.kind == obs::TraceKind::AsyncBegin &&
+                obs::traceNameOf(rec.name) == "session")
+                ++arrivals;
+        }
+        EXPECT_EQ(arrivals, r.arrivals);
+
+        for (std::size_t s = 0; s < world.shardCore.shardCount(); ++s) {
+            const std::vector<obs::TraceRecord> ring =
+                o.shardRecorder(s).snapshot();
+            EXPECT_TRUE(std::any_of(ring.begin(), ring.end(), shardLoop))
+                << "shard " << s;
+            for (const obs::TraceRecord &rec : ring) {
+                const bool own =
+                    rec.device >= 0 &&
+                    world.shardCore.shardOfDevice(
+                        static_cast<std::size_t>(rec.device)) == s;
+                EXPECT_TRUE(own) << "shard " << s << " ring holds "
+                                 << obs::traceNameOf(rec.name)
+                                 << " of device " << rec.device;
+            }
+        }
+
+        std::vector<Key> merged;
+        for (const obs::TraceRecord &rec : o.mergedRecords())
+            merged.emplace_back(rec.when, rec.name, rec.cat,
+                                static_cast<int>(rec.kind), rec.device,
+                                rec.pid, rec.session, rec.arg0, rec.arg1);
+        return merged;
+    };
+
+    const std::vector<Key> base = tracedRun(1);
+    ASSERT_GT(base.size(), 1000u);
+    EXPECT_EQ(tracedRun(2), base);
+    EXPECT_EQ(tracedRun(3), base);
 }
 
 TEST(ShardedServe, ShardCountCoversFleetAndWindows)

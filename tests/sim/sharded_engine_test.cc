@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -183,9 +185,12 @@ TEST(ShardedEngineCore, PostFromShardPanicsOutsideShardPhase)
  * defers a message through the mailbox; the barrier handler reschedules
  * the next hop into another shard's queue. Returns the full applied-
  * message log — any thread-scheduling nondeterminism would reorder it.
+ * A nonzero @p idle runs one window per runUntil call, with the host
+ * idle that long before each, and makes every hop idle that long too.
  */
 std::vector<std::string>
-runPingPong(unsigned shards, unsigned threads)
+runPingPong(unsigned shards, unsigned threads,
+            std::chrono::microseconds idle = std::chrono::microseconds(0))
 {
     EventQueue eq;
     ShardedEngine engine({shards, threads, usec(500)}, eq, 8);
@@ -197,11 +202,13 @@ runPingPong(unsigned shards, unsigned threads)
         EventQueue &eq;
         std::vector<std::string> &log;
         int left = 0;
+        std::chrono::microseconds idle;
 
         void
         arm(std::size_t dev, Tick delay)
         {
             engine.queueOfDevice(dev).scheduleIn(delay, [this, dev] {
+                std::this_thread::sleep_for(idle);
                 ShardedEngine::postFromShard([this, dev] {
                     log.push_back("dev" + std::to_string(dev) + "@" +
                                   std::to_string(eq.now()));
@@ -212,12 +219,19 @@ runPingPong(unsigned shards, unsigned threads)
         }
     };
 
-    Hop hop{engine, eq, log, 40};
+    Hop hop{engine, eq, log, 40, idle};
     hop.arm(0, usec(90));
-    Hop hop2{engine, eq, log, 40};
+    Hop hop2{engine, eq, log, 40, idle};
     hop2.arm(5, usec(110));
 
-    engine.runUntil(msec(30));
+    if (idle.count() == 0) {
+        engine.runUntil(msec(30));
+    } else {
+        while (engine.now() < msec(30)) {
+            std::this_thread::sleep_for(idle);
+            engine.runFor(engine.window());
+        }
+    }
     log.push_back("executed=" + std::to_string(engine.totalExecuted()));
     log.push_back("msgs=" + std::to_string(engine.mailboxMessages()));
     return log;
@@ -232,6 +246,17 @@ TEST(ShardedEngineCore, DeterministicAcrossRepeatsAndThreadCounts)
     EXPECT_EQ(runPingPong(4, 4), base);
 }
 
+TEST(ShardedEngineCore, NoLostWakeUpAfterIdleGaps)
+{
+    // Idle gaps longer than the barrier's 200-us spin bound put every
+    // worker to sleep in its futex wait before each window opens, and
+    // the coordinator to sleep in its own while a worker's shard naps.
+    // Each wake-up must still arrive (a lost one hangs this test until
+    // ctest's timeout), and the log must match the one-thread run.
+    EXPECT_EQ(runPingPong(4, 4, std::chrono::microseconds(500)),
+              runPingPong(4, 1));
+}
+
 TEST(ShardedEngineCore, ThreadDefaultsAndSetupAccounting)
 {
     EventQueue eq;
@@ -241,6 +266,17 @@ TEST(ShardedEngineCore, ThreadDefaultsAndSetupAccounting)
     EXPECT_LE(engine.threadCount(), 4u);
     // Spawn cost is measured so benches can exclude it.
     EXPECT_GE(engine.setupSeconds(), 0.0);
+
+    // The coordinator counts as a thread: threads=1 runs every shard
+    // on the calling thread and spawns no worker at all.
+    ShardedEngine solo({4, 1, msec(1)}, eq, 8);
+    EXPECT_EQ(solo.threadCount(), 1u);
+    EXPECT_EQ(solo.setupSeconds(), 0.0);
+
+    // More threads than shards clamps to one thread per shard.
+    ShardedEngine wide({4, 16, msec(1)}, eq, 8);
+    EXPECT_EQ(wide.threadCount(), 4u);
+    EXPECT_GT(wide.setupSeconds(), 0.0);
 }
 
 } // namespace
