@@ -41,12 +41,19 @@ class DeviceStack
     DeviceStack(const DeviceStack &) = delete;
     DeviceStack &operator=(const DeviceStack &) = delete;
 
-    /** Install the per-device scheduling policy (owned by the stack). */
+    /**
+     * Install the per-device scheduling policy (owned by the stack).
+     * A policy with a virtual-time tap publishes its system virtual
+     * time into @p vtime_cell; the cell is left alone otherwise.
+     */
     void
-    setScheduler(std::unique_ptr<Scheduler> s)
+    setScheduler(std::unique_ptr<Scheduler> s, Tick &vtime_cell)
     {
         sched = std::move(s);
-        vtimeTap = dynamic_cast<const VirtualTimeTap *>(sched.get());
+        auto *tap = dynamic_cast<VirtualTimeTap *>(sched.get());
+        if (tap)
+            tap->publishTo(&vtime_cell);
+        vtimeTap = tap;
         kernel.setScheduler(sched.get());
     }
 

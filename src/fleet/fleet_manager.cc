@@ -53,15 +53,18 @@ FleetManager::buildStacks(const FleetConfig &cfg,
     liveTasksPerDevice.assign(cfg.devices, 0);
     liveDemandPerDevice.assign(cfg.devices, 0.0);
     deviceUp_.assign(cfg.devices, 1);
+    speedFactors_.resize(cfg.devices);
+    vtimes.assign(cfg.devices, noVtime);
     stacks.reserve(cfg.devices);
     for (std::size_t i = 0; i < cfg.devices; ++i) {
         DeviceConfig dcfg = device_template;
         dcfg.speedFactor =
             cfg.speedFactorOf(i, device_template.speedFactor);
+        speedFactors_[i] = dcfg.speedFactor;
         auto stack = std::make_unique<DeviceStack>(
             queue_of(i), i, dcfg, costs, channel_policy, poll_period);
         stack->setScheduler(
-            make_scheduler(stack->kernel, stack->meter, i));
+            make_scheduler(stack->kernel, stack->meter, i), vtimes[i]);
         stacks.push_back(std::move(stack));
     }
 }
@@ -382,7 +385,7 @@ FleetManager::loadViews() const
     for (const auto &s : stacks) {
         DeviceLoadView v;
         v.index = s->index;
-        v.speedFactor = s->device.config().speedFactor;
+        v.speedFactor = speedFactors_[s->index];
         v.busyTime = s->meter.totalBusy();
         v.assignedTasks = liveTasksPerDevice[s->index];
         v.assignedDemand = liveDemandPerDevice[s->index];

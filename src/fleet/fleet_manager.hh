@@ -215,6 +215,33 @@ class FleetManager
     /** Snapshot of per-device load, ordered by device index. */
     std::vector<DeviceLoadView> loadViews() const;
 
+    // ------------------------------------------------------------------
+    // Dense per-device state, ordered by device index (fleet-wide
+    // readers such as the global clock touch these, not the stacks)
+    // ------------------------------------------------------------------
+
+    /** Published vtime cell of a device whose policy keeps none. */
+    static constexpr Tick noVtime = -1;
+
+    /**
+     * Each device policy's system virtual time (VirtualTimeTap::
+     * publishTo), or noVtime. Shard threads write their own devices'
+     * cells; read them from the coordinator only.
+     */
+    const std::vector<Tick> &publishedVtimes() const { return vtimes; }
+
+    /** Each device's DeviceConfig::speedFactor. */
+    const std::vector<double> &speedFactors() const { return speedFactors_; }
+
+    /** Live (placed, not yet retired or killed) tasks per device. */
+    const std::vector<std::size_t> &liveTaskCounts() const
+    {
+        return liveTasksPerDevice;
+    }
+
+    /** Availability flags (nonzero = up). */
+    const std::vector<char> &upFlags() const { return deviceUp_; }
+
     /**
      * Per-task usage aggregated across all devices: one entry per
      * placement, in placement order, retired incarnations included.
@@ -293,6 +320,10 @@ class FleetManager
     std::map<const Task *, std::size_t> placedIndex;
     std::vector<std::size_t> liveTasksPerDevice;
     std::vector<double> liveDemandPerDevice;
+    std::vector<double> speedFactors_;
+
+    /** Published vtime cells; never resized after the stacks are built. */
+    std::vector<Tick> vtimes;
 };
 
 } // namespace neon

@@ -21,6 +21,7 @@
 #include "gpu/request.hh"
 #include "gpu/ring_buffer.hh"
 #include "mmio/doorbell.hh"
+#include "sim/inline_function.hh"
 #include "sim/types.hh"
 
 namespace neon
@@ -35,6 +36,9 @@ class GpuContext;
 class Channel
 {
   public:
+    /** A user-space spin on the reference counter (stored inline). */
+    using Waiter = InlineFunction<void()>;
+
     Channel(int id, GpuContext &ctx, RequestClass cls, std::size_t ring_cap)
         : chanId(id), owner(ctx), chanClass(cls), pending(ring_cap)
     {
@@ -89,7 +93,9 @@ class Channel
         std::size_t kept = 0;
         for (std::size_t i = 0; i < waiters.size(); ++i) {
             if (waiters[i].first <= doneRef) {
-                auto fn = std::move(waiters[i].second);
+                // Moved out first: the waiter may register more
+                // waiters, and growing the vector relocates its slot.
+                Waiter fn = std::move(waiters[i].second);
                 fn();
             } else {
                 waiters[kept++] = std::move(waiters[i]);
@@ -104,7 +110,7 @@ class Channel
      * up (the app polls shared memory, so there is no kernel latency).
      */
     void
-    waitRef(std::uint64_t ref, std::function<void()> fn)
+    waitRef(std::uint64_t ref, Waiter fn)
     {
         waiters.emplace_back(ref, std::move(fn));
     }
@@ -122,6 +128,13 @@ class Channel
      * during engagement). Receives (ref, completion time, service time).
      */
     std::function<void(std::uint64_t, Tick, Tick)> kernelCompletionHook;
+
+    /**
+     * The scheduler's last poll snapshot of the reference counter
+     * (DFQ's free-run activity observation; it takes the first one
+     * when the channel becomes active).
+     */
+    std::uint64_t polledRef = 0;
 
     /** Arbitration bookkeeping (owned by the device's arbiter). */
     int arbCredit = 0;
@@ -145,7 +158,7 @@ class Channel
     std::uint64_t doneRef = 0;
     bool running = false;
 
-    std::vector<std::pair<std::uint64_t, std::function<void()>>> waiters;
+    std::vector<std::pair<std::uint64_t, Waiter>> waiters;
 };
 
 } // namespace neon

@@ -141,17 +141,6 @@ KernelModule::findTask(int pid) const
     return it != taskList.end() && (*it)->pid() == pid ? *it : nullptr;
 }
 
-std::vector<Task *>
-KernelModule::gpuTasks() const
-{
-    std::vector<Task *> out;
-    for (Task *t : taskList) {
-        if (t->alive() && !t->channels().empty())
-            out.push_back(t);
-    }
-    return out;
-}
-
 GpuContext *
 KernelModule::createContext(Task &t)
 {
@@ -167,7 +156,8 @@ KernelModule::openChannel(Task &t, RequestClass cls, GpuContext *ctx)
         if (t.channels().size() >= policy.perTaskLimit) {
             result = OpenResult::PerTaskLimit;
         } else if (t.channels().empty()) {
-            const std::size_t users = gpuTasks().size();
+            std::size_t users = 0;
+            forEachGpuTask([&users](const Task &) { ++users; });
             const std::size_t max_users =
                 dev.config().maxChannels / policy.perTaskLimit;
             if (users >= max_users)
@@ -262,8 +252,8 @@ KernelModule::closeChannel(Task &t, Channel *c)
 Channel *
 KernelModule::findChannel(int id) const
 {
-    auto it = channelRegistry.find(id);
-    return it == channelRegistry.end() ? nullptr : it->second;
+    Channel *const *c = channelRegistry.find(id);
+    return c ? *c : nullptr;
 }
 
 void
@@ -330,18 +320,18 @@ KernelModule::submitDoorbell(Task &t, Channel &c, GpuRequest req)
 bool
 KernelModule::hasParked(const Task &t) const
 {
-    return parked.count(t.pid()) > 0;
+    return parked.contains(t.pid());
 }
 
 void
 KernelModule::releaseParked(Task &t)
 {
-    auto it = parked.find(t.pid());
-    if (it == parked.end())
+    const ParkedSubmission *found = parked.find(t.pid());
+    if (!found)
         return;
 
-    const ParkedSubmission ps = it->second;
-    parked.erase(it);
+    const ParkedSubmission ps = *found;
+    parked.erase(t.pid());
 
     Channel *c = findChannel(ps.channelId);
     if (!c)
@@ -358,16 +348,6 @@ KernelModule::releaseParked(Task &t)
     };
     static_assert(EventCallback::fitsInline<decltype(deliver)>);
     eq.scheduleIn(when, std::move(deliver));
-}
-
-std::vector<int>
-KernelModule::parkedPids() const
-{
-    std::vector<int> out;
-    out.reserve(parked.size());
-    for (const auto &kv : parked)
-        out.push_back(kv.first);
-    return out;
 }
 
 Task *

@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -26,6 +25,7 @@
 #include "os/scheduler.hh"
 #include "os/task.hh"
 #include "sim/event_queue.hh"
+#include "sim/id_map.hh"
 
 namespace neon
 {
@@ -110,8 +110,20 @@ class KernelModule
     /** Look up a registered task by pid; nullptr if gone. O(log n). */
     Task *findTask(int pid) const;
 
-    /** Tasks that still own at least one active channel. */
-    std::vector<Task *> gpuTasks() const;
+    /**
+     * Visit the tasks that still own at least one channel, in
+     * ascending pid order. @p fn may change channel protection and
+     * parked submissions, but must not create, kill or retire a task.
+     */
+    template <typename F>
+    void
+    forEachGpuTask(F &&fn) const
+    {
+        for (Task *t : taskList) {
+            if (t->alive() && !t->channels().empty())
+                fn(*t);
+        }
+    }
 
     std::uint64_t killCount() const { return kills; }
 
@@ -176,8 +188,17 @@ class KernelModule
     /** Release a parked submission (charges the interception cost). */
     void releaseParked(Task &t);
 
-    /** Pids with parked submissions (policy bookkeeping). */
-    std::vector<int> parkedPids() const;
+    /**
+     * Visit the pids with a parked submission in ascending order
+     * (policy bookkeeping). @p fn must not park or release one.
+     */
+    template <typename F>
+    void
+    forEachParkedPid(F &&fn) const
+    {
+        for (const auto &p : parked)
+            fn(p.id);
+    }
 
     // ------------------------------------------------------------------
     // Shared-structure reads (legitimately visible to the kernel)
@@ -234,9 +255,9 @@ class KernelModule
     Scheduler *sched = nullptr;
 
     std::vector<Task *> taskList;
-    std::map<int, Channel *> channelRegistry;
+    IdMap<Channel *> channelRegistry;
     std::vector<Channel *> activeList;
-    std::map<int, ParkedSubmission> parked; // keyed by pid
+    IdMap<ParkedSubmission> parked; // keyed by pid
     int nextPid = 1;
     std::uint64_t kills = 0;
 };

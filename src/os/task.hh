@@ -104,7 +104,10 @@ class Task : public Process
         {
             t.suspended(h);
             Task *tp = &t;
-            c.waitRef(ref, [tp] { tp->resumeAt(0); });
+            // One per awaited request: the wake-up stays inline.
+            auto wake = [tp] { tp->resumeAt(0); };
+            static_assert(Channel::Waiter::fitsInline<decltype(wake)>);
+            c.waitRef(ref, std::move(wake));
         }
 
         void await_resume() const {}

@@ -18,35 +18,36 @@ DisengagedFairQueueing::DisengagedFairQueueing(KernelModule &kernel,
 Tick
 DisengagedFairQueueing::vtimeOf(int pid) const
 {
-    auto it = taskStates.find(pid);
-    return it == taskStates.end() ? 0 : it->second.vtime;
+    const TaskState *ts = taskStates.find(pid);
+    return ts ? ts->vtime : 0;
 }
 
 Tick
 DisengagedFairQueueing::estSizeOf(int pid) const
 {
-    auto it = taskStates.find(pid);
-    return it == taskStates.end() ? 0 : it->second.estSize;
+    const TaskState *ts = taskStates.find(pid);
+    return ts ? ts->estSize : 0;
 }
 
 double
 DisengagedFairQueueing::dutyOf(int pid) const
 {
-    auto it = taskStates.find(pid);
-    return it == taskStates.end() ? 1.0 : it->second.duty;
+    const TaskState *ts = taskStates.find(pid);
+    return ts ? ts->duty : 1.0;
 }
 
 bool
 DisengagedFairQueueing::isDenied(int pid) const
 {
-    auto it = taskStates.find(pid);
-    return it != taskStates.end() && it->second.denied;
+    const TaskState *ts = taskStates.find(pid);
+    return ts && ts->denied;
 }
 
 void
 DisengagedFairQueueing::onChannelActive(Channel &c)
 {
-    lastSeenRef[c.id()] = kernel.readCompletedRef(c);
+    // The channel's first poll snapshot: pollDeltas counts from here.
+    c.polledRef = kernel.readCompletedRef(c);
 
     const int pid = c.context().taskId();
     TaskState &ts = stateOf(pid);
@@ -70,12 +71,6 @@ DisengagedFairQueueing::onChannelActive(Channel &c)
         // decision point.
         break;
     }
-}
-
-void
-DisengagedFairQueueing::onChannelClosed(Channel &c)
-{
-    lastSeenRef.erase(c.id());
 }
 
 void
@@ -170,15 +165,10 @@ DisengagedFairQueueing::pollDeltas()
 {
     for (Channel *c : kernel.activeChannels()) {
         const std::uint64_t cur = kernel.readCompletedRef(*c);
-        auto it = lastSeenRef.find(c->id());
-        if (it == lastSeenRef.end()) {
-            lastSeenRef[c->id()] = cur;
-            continue;
-        }
-        if (cur > it->second) {
+        if (cur > c->polledRef) {
             const int pid = c->context().taskId();
-            stateOf(pid).intervalCompletions += cur - it->second;
-            it->second = cur;
+            stateOf(pid).intervalCompletions += cur - c->polledRef;
+            c->polledRef = cur;
         }
     }
 }
@@ -242,14 +232,14 @@ DisengagedFairQueueing::enterFreeRun(Tick length)
                "dfq.free_run", obs::TraceIds{kernel.deviceIndex(), -1, -1},
                length, nEpisodes);
 
-    for (auto &kv : taskStates)
-        kv.second.intervalCompletions = 0;
+    for (auto &e : taskStates)
+        e.value.intervalCompletions = 0;
 
     // Resynchronize the counter snapshots: completions observed during
     // the episode (already accounted by the sampling runs) must not
     // leak into the new interval and make a denied task look active.
     for (Channel *c : kernel.activeChannels())
-        lastSeenRef[c->id()] = kernel.readCompletedRef(*c);
+        c->polledRef = kernel.readCompletedRef(*c);
 
     if (episodeTimer != invalidEventId)
         kernel.eventQueue().cancel(episodeTimer);
@@ -299,16 +289,16 @@ DisengagedFairQueueing::beginSampling()
                obs::TraceIds{kernel.deviceIndex(), -1, -1},
                drainEnd - drainStart, 0);
 
-    for (Task *t : kernel.gpuTasks()) {
-        TaskState &ts = stateOf(t->pid());
+    kernel.forEachGpuTask([this](Task &t) {
+        TaskState &ts = stateOf(t.pid());
         const bool tried = ts.intervalCompletions > 0 ||
-            kernel.hasParked(*t);
+            kernel.hasParked(t);
         const bool unknown = ts.estSize == 0;
         // Idle tasks are not worth a sampling slot (paper 3.3) unless
         // we have never observed them at all.
         if ((tried && !ts.denied) || (tried && unknown) || unknown)
-            samplingQueue.push_back(t->pid());
-    }
+            samplingQueue.push_back(t.pid());
+    });
 
     sampleNext();
 }
@@ -371,8 +361,8 @@ DisengagedFairQueueing::samplePendingWork(const TaskState &ts) const
 {
     if (ts.parkedPending)
         return true;
-    for (const auto &kv : ts.chanRefs) {
-        if (kv.second.first > kv.second.second)
+    for (const auto &e : ts.chanRefs) {
+        if (e.value.first > e.value.second)
             return true;
     }
     return false;
@@ -429,8 +419,8 @@ DisengagedFairQueueing::endSample()
     // over a blank one rather than recreating its entry, so per-pid
     // state stays bounded by the live tasks.
     TaskState exited;
-    const auto it = taskStates.find(samplingPid);
-    TaskState &ts = it != taskStates.end() ? it->second : exited;
+    TaskState *found = taskStates.find(samplingPid);
+    TaskState &ts = found ? *found : exited;
     if (t) {
         for (Channel *c : t->channels())
             c->kernelCompletionHook = nullptr;
@@ -496,16 +486,16 @@ DisengagedFairQueueing::decide()
 
     // 1. Advance active tasks' virtual times by their (estimated) use
     //    of the preceding free-run interval.
-    std::vector<int> active;
+    activePids.clear();
     Tick est_sum = 0;
-    for (auto &kv : taskStates) {
-        if (kv.second.intervalCompletions > 0) {
-            active.push_back(kv.first);
-            est_sum += std::max<Tick>(kv.second.estSize, usec(1));
+    for (const auto &e : taskStates) {
+        if (e.value.intervalCompletions > 0) {
+            activePids.push_back(e.id);
+            est_sum += std::max<Tick>(e.value.estSize, usec(1));
         }
     }
 
-    for (int pid : active) {
+    for (int pid : activePids) {
         TaskState &ts = stateOf(pid);
         Tick usage = 0;
         const Tick est = std::max<Tick>(ts.estSize, usec(1));
@@ -547,24 +537,26 @@ DisengagedFairQueueing::decide()
     // 2. System virtual time: the oldest virtual time among tasks that
     //    are still contending (active or blocked-on-us).
     Tick oldest = std::numeric_limits<Tick>::max();
-    for (Task *t : kernel.gpuTasks()) {
-        TaskState &ts = stateOf(t->pid());
+    kernel.forEachGpuTask([this, &oldest](Task &t) {
+        TaskState &ts = stateOf(t.pid());
         const bool contending = ts.intervalCompletions > 0 ||
-            kernel.hasParked(*t) || ts.denied;
+            kernel.hasParked(t) || ts.denied;
         if (contending)
             oldest = std::min(oldest, ts.vtime);
-    }
-    if (oldest != std::numeric_limits<Tick>::max())
+    });
+    if (oldest != std::numeric_limits<Tick>::max()) {
         sysVtime = std::max(sysVtime, oldest);
+        publishSystemVtime(sysVtime);
+    }
 
     // 3. Inactive tasks may not hoard unused resources.
-    for (Task *t : kernel.gpuTasks()) {
-        TaskState &ts = stateOf(t->pid());
-        if (ts.intervalCompletions == 0 && !kernel.hasParked(*t) &&
+    kernel.forEachGpuTask([this](Task &t) {
+        TaskState &ts = stateOf(t.pid());
+        if (ts.intervalCompletions == 0 && !kernel.hasParked(t) &&
             !ts.denied) {
             ts.vtime = std::max(ts.vtime, sysVtime);
         }
-    }
+    });
 
     // 4. Size the next free run: several times the engagement budget
     //    (paper: 5 x 5 ms per contending task -> 25 ms standalone,
@@ -575,13 +567,13 @@ DisengagedFairQueueing::decide()
     //    across episodes, which the equalization dynamics need.
     (void)now;
     int contenders = 0;
-    for (Task *t : kernel.gpuTasks()) {
-        TaskState &ts = stateOf(t->pid());
-        if (ts.intervalCompletions > 0 || kernel.hasParked(*t) ||
+    kernel.forEachGpuTask([this, &contenders](Task &t) {
+        TaskState &ts = stateOf(t.pid());
+        if (ts.intervalCompletions > 0 || kernel.hasParked(t) ||
             ts.denied) {
             ++contenders;
         }
-    }
+    });
     freeRunLen = std::max<Tick>(
         cfg.minFreeRun,
         static_cast<Tick>(
@@ -589,16 +581,16 @@ DisengagedFairQueueing::decide()
             static_cast<double>(cfg.samplingMax) *
             static_cast<double>(std::max(1, contenders))));
 
-    for (Task *t : kernel.gpuTasks()) {
-        TaskState &ts = stateOf(t->pid());
+    kernel.forEachGpuTask([this](Task &t) {
+        TaskState &ts = stateOf(t.pid());
         const bool deny = ts.vtime >= sysVtime + freeRunLen;
         ts.denied = deny;
         NEON_TRACE(obs::TraceCategory::Sched, obs::TraceKind::Instant,
                    "dfq.vtime",
-                   obs::TraceIds{kernel.deviceIndex(), t->pid(), -1},
+                   obs::TraceIds{kernel.deviceIndex(), t.pid(), -1},
                    ts.vtime, deny ? 1 : 0);
-        applyAccess(*t, deny);
-    }
+        applyAccess(t, deny);
+    });
 
     NEON_TRACE(obs::TraceCategory::Sched, obs::TraceKind::End,
                "dfq.engage", obs::TraceIds{kernel.deviceIndex(), -1, -1},

@@ -23,13 +23,14 @@
 #define NEON_SCHED_DISENGAGED_FQ_HH
 
 #include <cstdint>
-#include <map>
+#include <utility>
 #include <vector>
 
 #include "gpu/usage_meter.hh"
 #include "os/kernel.hh"
 #include "os/scheduler.hh"
 #include "sched/vtime_tap.hh"
+#include "sim/id_map.hh"
 
 namespace neon
 {
@@ -96,7 +97,6 @@ class DisengagedFairQueueing : public Scheduler, public VirtualTimeTap
                            const DfqConfig &cfg = DfqConfig());
 
     void onChannelActive(Channel &c) override;
-    void onChannelClosed(Channel &c) override;
     void onTaskExited(Task &t) override;
     FaultDecision onSubmitFault(Task &t, Channel &c,
                                 const GpuRequest &req) override;
@@ -145,9 +145,11 @@ class DisengagedFairQueueing : public Scheduler, public VirtualTimeTap
         Tick busySince = 0;
         bool busyNow = false;
         bool parkedPending = false;
-        std::map<int, std::pair<std::uint64_t, std::uint64_t>> chanRefs;
+        /** By channel id: (last submitted, last completed) ref. */
+        IdMap<std::pair<std::uint64_t, std::uint64_t>> chanRefs;
     };
 
+    /** Creates the pid's state if absent (see IdMap on references). */
     TaskState &stateOf(int pid) { return taskStates[pid]; }
 
     void enterFreeRun(Tick length);
@@ -168,10 +170,12 @@ class DisengagedFairQueueing : public Scheduler, public VirtualTimeTap
     DfqConfig cfg;
     Phase curPhase = Phase::Idle;
     const UsageMeter *vendorCounters = nullptr;
-    std::map<int, Tick> vendorBusySeen; // by pid
+    IdMap<Tick> vendorBusySeen; // by pid
 
-    std::map<int, TaskState> taskStates;      // by pid
-    std::map<int, std::uint64_t> lastSeenRef; // by channel id
+    IdMap<TaskState> taskStates; // by pid
+
+    /** decide()'s pids with interval completions (kept for capacity). */
+    std::vector<int> activePids;
 
     Tick sysVtime = 0;
     Tick freeRunLen = 0;

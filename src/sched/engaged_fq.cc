@@ -72,16 +72,16 @@ EngagedFairQueueing::onSubmitFault(Task &t, Channel &, const GpuRequest &)
     // start tag against any parked peers.
     Task *best = nullptr;
     Tick best_tag = start;
-    for (int pid : kernel.parkedPids()) {
+    kernel.forEachParkedPid([&](int pid) {
         Task *peer = kernel.findTask(pid);
         if (!peer || !peer->alive())
-            continue;
+            return;
         const Tick tag = stateOf(pid).pendingStartTag;
         if (tag < best_tag) {
             best_tag = tag;
             best = peer;
         }
-    }
+    });
 
     if (!best) {
         dispatched(t.pid(), start);
@@ -116,6 +116,7 @@ EngagedFairQueueing::dispatched(int pid, Tick start_tag)
     servingPid = pid;
     serviceBegan = kernel.eventQueue().now();
     sysV = std::max(sysV, start_tag);
+    publishSystemVtime(sysV);
     NEON_TRACE(obs::TraceCategory::Sched, obs::TraceKind::Instant,
                "efq.dispatch", obs::TraceIds{kernel.deviceIndex(), pid, -1},
                start_tag, sysV);
@@ -154,16 +155,16 @@ EngagedFairQueueing::dispatchNext()
     // Pick the parked submission with the minimum start tag.
     Task *best = nullptr;
     Tick best_tag = std::numeric_limits<Tick>::max();
-    for (int pid : kernel.parkedPids()) {
+    kernel.forEachParkedPid([&](int pid) {
         Task *t = kernel.findTask(pid);
         if (!t || !t->alive())
-            continue;
+            return;
         const Tick tag = stateOf(pid).pendingStartTag;
         if (tag < best_tag) {
             best_tag = tag;
             best = t;
         }
-    }
+    });
 
     if (best) {
         dispatched(best->pid(), best_tag);

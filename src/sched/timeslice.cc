@@ -80,7 +80,7 @@ TimesliceScheduler::grant(Task &t)
     NEON_TRACE(obs::TraceCategory::Sched, obs::TraceKind::Begin,
                "ts.slice", obs::TraceIds{kernel.deviceIndex(), t.pid(), -1},
                cfg.slice,
-               overuse.contains(t.pid()) ? overuse.at(t.pid()) : Tick(0));
+               overuse.contains(t.pid()) ? overuse[t.pid()] : Tick(0));
     // One timer per granted slice, for the lifetime of the run.
     auto expiry = [this] { sliceExpired(); };
     static_assert(EventCallback::fitsInline<decltype(expiry)>);
@@ -158,14 +158,11 @@ TimesliceScheduler::passToken()
     if (tokenHolder || drainingTask)
         return;
 
-    std::vector<Task *> rotation = kernel.gpuTasks();
+    // The kernel visits tasks in ascending pid order.
+    rotation.clear();
+    kernel.forEachGpuTask([this](Task &t) { rotation.push_back(&t); });
     if (rotation.empty())
         return;
-
-    std::sort(rotation.begin(), rotation.end(),
-              [](const Task *a, const Task *b) {
-                  return a->pid() < b->pid();
-              });
 
     // Start from the task after the previous holder in pid order.
     std::size_t start = 0;

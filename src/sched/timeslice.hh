@@ -17,11 +17,11 @@
 #ifndef NEON_SCHED_TIMESLICE_HH
 #define NEON_SCHED_TIMESLICE_HH
 
-#include <map>
 #include <vector>
 
 #include "os/kernel.hh"
 #include "os/scheduler.hh"
+#include "sim/id_map.hh"
 
 namespace neon
 {
@@ -101,8 +101,11 @@ class TimesliceScheduler : public Scheduler
     Tick drainBegin = 0;
     Tick drainReadyAt = 0;
 
-    std::map<int, Tick> overuse;
+    IdMap<Tick> overuse; // by pid
     std::uint64_t nSkips = 0;
+
+    /** passToken's candidates (kept for capacity). */
+    std::vector<Task *> rotation;
 };
 
 } // namespace neon

@@ -14,10 +14,18 @@
  * truth), and consumers must not feed device-meter data back through
  * it.
  *
- * Sharded runs: taps are read only from the coordinator — the global
- * clock's tick is a control-queue event, executed at a window barrier
- * with every shard worker parked — so the snapshot is a consistent
- * fleet-wide view at the barrier time and never races shard execution.
+ * Besides the virtual calls, a policy publishes its system virtual
+ * time into one cell of a dense fleet-owned array (publishTo), at the
+ * one site where it changes, so a fleet-wide reader touches one array
+ * instead of every device's scheduler.
+ *
+ * Sharded runs: taps and cells are read only from the coordinator —
+ * the global clock's tick is a control-queue event, executed at a
+ * window barrier with every shard worker parked — so the snapshot is
+ * a consistent fleet-wide view at the barrier time and never races
+ * shard execution. Shard threads write the cells of their own devices
+ * during the parallel phase; the barrier orders those writes before
+ * the coordinator's reads.
  */
 
 #ifndef NEON_SCHED_VTIME_TAP_HH
@@ -42,6 +50,29 @@ class VirtualTimeTap
      * the policy has not seen report 0 (maximally lagging).
      */
     virtual Tick tapTaskVtime(int pid) const = 0;
+
+    /**
+     * Mirror the system virtual time into @p cell from now on; the
+     * cell takes the current value at once.
+     */
+    void
+    publishTo(Tick *cell)
+    {
+        published = cell;
+        *cell = tapSystemVtime();
+    }
+
+  protected:
+    /** Call wherever the system virtual time changes. */
+    void
+    publishSystemVtime(Tick v)
+    {
+        if (published)
+            *published = v;
+    }
+
+  private:
+    Tick *published = nullptr;
 };
 
 } // namespace neon

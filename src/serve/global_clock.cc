@@ -1,7 +1,6 @@
 #include "serve/global_clock.hh"
 
 #include "obs/trace.hh"
-#include "sched/vtime_tap.hh"
 
 namespace neon
 {
@@ -12,38 +11,38 @@ GlobalVirtualClock::GlobalVirtualClock(FleetManager &fleet,
 {
 }
 
-std::vector<DeviceClockSample>
-GlobalVirtualClock::sample() const
+const std::vector<DeviceClockSample> &
+GlobalVirtualClock::sample()
 {
-    const std::vector<DeviceLoadView> views = fleet.loadViews();
-    std::vector<DeviceClockSample> out;
-    out.reserve(views.size());
-    for (const DeviceLoadView &v : views) {
-        DeviceClockSample s;
-        s.index = v.index;
-        s.speedFactor = v.speedFactor > 0.0 ? v.speedFactor : 1.0;
-        s.liveTasks = v.assignedTasks;
-        s.up = v.up;
-        if (const VirtualTimeTap *tap = fleet.stack(v.index).vtimeTap) {
-            s.hasVtime = true;
-            s.vtime = tap->tapSystemVtime();
-            s.normVtime = static_cast<Tick>(
-                static_cast<double>(s.vtime) * s.speedFactor);
-        }
-        out.push_back(s);
+    const std::vector<Tick> &vtimes = fleet.publishedVtimes();
+    const std::vector<double> &speeds = fleet.speedFactors();
+    const std::vector<std::size_t> &live = fleet.liveTaskCounts();
+    const std::vector<char> &up = fleet.upFlags();
+    samples.resize(vtimes.size());
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+        DeviceClockSample &s = samples[i];
+        s.index = i;
+        s.speedFactor = speeds[i] > 0.0 ? speeds[i] : 1.0;
+        s.liveTasks = live[i];
+        s.up = up[i] != 0;
+        s.hasVtime = vtimes[i] != FleetManager::noVtime;
+        s.vtime = s.hasVtime ? vtimes[i] : 0;
+        s.normVtime = s.hasVtime
+            ? static_cast<Tick>(static_cast<double>(s.vtime) * s.speedFactor)
+            : 0;
     }
-    return out;
+    return samples;
 }
 
 std::size_t
-GlobalVirtualClock::placeSteered() const
+GlobalVirtualClock::placeSteered()
 {
     return pickLagging(sample(), slotsPerDevice);
 }
 
 MigrationPlan
 GlobalVirtualClock::checkMigration(Tick lag_threshold,
-                                   std::size_t min_tasks) const
+                                   std::size_t min_tasks)
 {
     const MigrationPlan plan = planMigration(
         sample(), lag_threshold, min_tasks, slotsPerDevice);

@@ -21,7 +21,9 @@
  *
  * Decision logic is pure/static over DeviceClockSample vectors so it
  * unit-tests with hand-built snapshots; the instance methods only
- * gather samples from a live fleet.
+ * gather samples from a live fleet, reading its dense per-device
+ * arrays (published vtimes, speed factors, live counts, up flags)
+ * rather than every device stack.
  */
 
 #ifndef NEON_SERVE_GLOBAL_CLOCK_HH
@@ -67,15 +69,19 @@ class GlobalVirtualClock
      */
     GlobalVirtualClock(FleetManager &fleet, std::size_t slots_per_device);
 
-    /** Snapshot every device's normalized virtual time and live load. */
-    std::vector<DeviceClockSample> sample() const;
+    /**
+     * Snapshot every device's normalized virtual time and live load,
+     * from the fleet's dense per-device arrays into one reused
+     * buffer: the reference stays valid until the next call.
+     */
+    const std::vector<DeviceClockSample> &sample();
 
     /** Steered placement for an admitted session. */
-    std::size_t placeSteered() const;
+    std::size_t placeSteered();
 
     /** Migration decision under the given thresholds. */
     MigrationPlan checkMigration(Tick lag_threshold,
-                                 std::size_t min_tasks) const;
+                                 std::size_t min_tasks);
 
     // Pure decision logic (unit-testable with synthetic samples).
 
@@ -100,6 +106,7 @@ class GlobalVirtualClock
   private:
     FleetManager &fleet;
     std::size_t slotsPerDevice;
+    std::vector<DeviceClockSample> samples;
 };
 
 } // namespace neon

@@ -565,29 +565,31 @@ ServeEngine::tryPreempt(int arrivingRank)
         return true;
     }
 
-    // Victim: the lowest-priority live incarnation, youngest first
-    // (least sunk service wasted), strictly below the arriving rank.
-    // Every tie breaks on session state only, never on table order.
-    SessionRecord *victim = nullptr;
-    for (const std::uint64_t sid : placed) {
-        SessionRecord &s = *sessions[sid];
-        if (s.done || !s.task->alive())
-            continue;
-        const int rank = qosRankOf(s.cls);
-        if (rank <= arrivingRank)
-            continue;
-        if (!victim || rank > qosRankOf(victim->cls) ||
-            (rank == qosRankOf(victim->cls) &&
-             (s.admitted > victim->admitted ||
-              (s.admitted == victim->admitted && s.id > victim->id)))) {
-            victim = &s;
-        }
-    }
+    const SessionRecord *victim = preemptionVictim(arrivingRank);
     if (!victim)
         return false;
 
-    preemptSession(*victim);
+    preemptSession(*sessions[victim->id]);
     return true;
+}
+
+const SessionRecord *
+ServeEngine::preemptionVictim(int arriving_rank) const
+{
+    // Victim: the lowest-priority live incarnation, youngest first
+    // (least sunk service wasted), strictly below the arriving rank:
+    // the largest key. Every tie breaks on session state only. A task
+    // killed on its device stays placed until its kill is finalized
+    // at the barrier; it is skipped, not displaced.
+    for (auto it = preemptible.rbegin(); it != preemptible.rend(); ++it) {
+        const auto &[rank, admitted, sid] = *it;
+        if (rank <= arriving_rank)
+            break;
+        const SessionRecord &s = *sessions[sid];
+        if (!s.done && s.task->alive())
+            return &s;
+    }
+    return nullptr;
 }
 
 void
@@ -670,6 +672,8 @@ ServeEngine::trackPlaced(SessionRecord &s)
 {
     s.placedSlot = placed.size();
     placed.push_back(s.id);
+    if (cfg.qos.enabled && cfg.qos.preemption)
+        preemptible.emplace(qosRankOf(s.cls), s.admitted, s.id);
 }
 
 void
@@ -679,6 +683,8 @@ ServeEngine::untrackPlaced(SessionRecord &s)
     placed[s.placedSlot] = moved;
     sessions[moved]->placedSlot = s.placedSlot;
     placed.pop_back();
+    if (cfg.qos.enabled && cfg.qos.preemption)
+        preemptible.erase({qosRankOf(s.cls), s.admitted, s.id});
 }
 
 SessionRecord *

@@ -34,7 +34,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "fleet/fleet_manager.hh"
@@ -317,6 +319,20 @@ class ServeEngine
     std::size_t peakLiveSessions() const { return peakLive; }
     std::size_t slotsPerDevice() const { return slots; }
 
+    /** Ids of the sessions with an open incarnation, unordered. */
+    const std::vector<std::uint64_t> &placedSessions() const
+    {
+        return placed;
+    }
+
+    /**
+     * The incarnation a queued arrival of QoS rank @p arriving_rank
+     * would preempt: the lowest-priority live one ranked strictly
+     * below it, youngest first, then the highest session id; nullptr
+     * if there is none. O(log placed) per call; QoS preemption only.
+     */
+    const SessionRecord *preemptionVictim(int arriving_rank) const;
+
     // ------------------------------------------------------------------
     // Service-level rules (shared by results and the analysis plane)
     // ------------------------------------------------------------------
@@ -408,6 +424,14 @@ class ServeEngine
      * session state, never on table order.
      */
     std::vector<std::uint64_t> placed;
+
+    /**
+     * The placed sessions keyed (QoS rank, admission time, session
+     * id), kept only under QoS preemption: a preemption's victim is
+     * the largest key ranked above the arrival. A session's admission
+     * time is set once, so its key is stable while it is placed.
+     */
+    std::set<std::tuple<int, Tick, std::uint64_t>> preemptible;
     std::vector<std::function<void(const SessionEvent &)>> listeners;
 
     SessionStepTally tally{};

@@ -87,16 +87,29 @@ Rng::normal()
         std::cos(2.0 * M_PI * u2);
 }
 
+Rng::Lognormal::Lognormal(double mean, double cv) : mean(mean), cv(cv)
+{
+    if (mean <= 0.0 || cv <= 0.0)
+        return;
+    const double sigma2 = std::log(1.0 + cv * cv);
+    mu = std::log(mean) - 0.5 * sigma2;
+    sigma = std::sqrt(sigma2);
+}
+
 double
 Rng::lognormal(double mean, double cv)
 {
-    if (mean <= 0.0)
+    return lognormal(Lognormal(mean, cv));
+}
+
+double
+Rng::lognormal(const Lognormal &d)
+{
+    if (d.mean <= 0.0)
         return 0.0;
-    if (cv <= 0.0)
-        return mean;
-    const double sigma2 = std::log(1.0 + cv * cv);
-    const double mu = std::log(mean) - 0.5 * sigma2;
-    return std::exp(mu + std::sqrt(sigma2) * normal());
+    if (d.cv <= 0.0)
+        return d.mean;
+    return std::exp(d.mu + d.sigma * normal());
 }
 
 bool

@@ -43,6 +43,24 @@ class Rng
      */
     double lognormal(double mean, double cv);
 
+    /**
+     * A lognormal's transformed parameters, computed once by the
+     * expressions lognormal(mean, cv) evaluates on every call, so a
+     * draw from them is bit-identical to it.
+     */
+    struct Lognormal
+    {
+        Lognormal(double mean, double cv);
+
+        double mean;
+        double cv;
+        double mu = 0.0;
+        double sigma = 0.0;
+    };
+
+    /** lognormal(d.mean, d.cv) without recomputing its logarithms. */
+    double lognormal(const Lognormal &d);
+
     /** Bernoulli trial. */
     bool chance(double p);
 

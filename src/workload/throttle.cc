@@ -24,11 +24,11 @@ throttleBody(Task &t, ThrottleParams params, std::uint64_t seed)
             (1.0 - params.sleepRatio));
     }
 
+    const Rng::Lognormal jitter(toUsec(params.requestSize), params.jitterCv);
     for (;;) {
         t.beginRound();
 
-        const Tick size = usec(rng.lognormal(
-            toUsec(params.requestSize), params.jitterCv));
+        const Tick size = usec(rng.lognormal(jitter));
         const std::uint64_t ref =
             co_await t.submit(*chan, RequestClass::Compute, size);
         co_await t.waitRef(*chan, ref);

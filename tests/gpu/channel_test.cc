@@ -87,6 +87,31 @@ TEST_F(ChannelFixture, WaiterFiresOnceOnly)
     EXPECT_EQ(count, 1);
 }
 
+TEST_F(ChannelFixture, WaiterMayRegisterWaitersFromItsCallback)
+{
+    // The callback grows the waiter list far past its capacity, which
+    // relocates every slot, its own included. complete() moves each
+    // waiter out before calling it, so the captures the callback reads
+    // after the growth are still its own (ASan flags the alternative).
+    std::vector<int> fired;
+    const std::vector<int> tail{1, 1000};
+    chan.waitRef(1, [this, &fired, tail] {
+        for (int r = 2; r <= 65; ++r) {
+            chan.waitRef(static_cast<std::uint64_t>(r),
+                         [&fired, r] { fired.push_back(r); });
+        }
+        fired.insert(fired.end(), tail.begin(), tail.end());
+    });
+
+    chan.complete(1);
+    EXPECT_EQ(fired, (std::vector<int>{1, 1000}));
+
+    chan.complete(65);
+    ASSERT_EQ(fired.size(), 66u);
+    for (int r = 2; r <= 65; ++r)
+        EXPECT_EQ(fired[static_cast<std::size_t>(r)], r);
+}
+
 TEST_F(ChannelFixture, DoorbellStartsProtected)
 {
     EXPECT_FALSE(chan.doorbell().present());

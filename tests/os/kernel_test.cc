@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "gpu/device.hh"
 #include "os/kernel.hh"
 #include "os/scheduler.hh"
@@ -149,7 +151,9 @@ TEST_F(KernelFixture, ParkedSubmissionWaitsForRelease)
 
     EXPECT_TRUE(kernel->hasParked(task));
     EXPECT_EQ(task.roundTimes().count(), 0u);
-    EXPECT_EQ(kernel->parkedPids().size(), 1u);
+    std::vector<int> parked_pids;
+    kernel->forEachParkedPid([&](int pid) { parked_pids.push_back(pid); });
+    EXPECT_EQ(parked_pids, std::vector<int>{task.pid()});
 
     sched->decision = FaultDecision::Allow;
     kernel->releaseParked(task);
@@ -217,10 +221,72 @@ TEST_F(KernelFixture, GpuTasksListsOnlyChannelOwners)
     kernel->start();
     eq.runUntil(msec(2));
 
-    auto gpu_tasks = kernel->gpuTasks();
+    std::vector<Task *> gpu_tasks;
+    kernel->forEachGpuTask([&](Task &t) { gpu_tasks.push_back(&t); });
     ASSERT_EQ(gpu_tasks.size(), 1u);
     EXPECT_EQ(gpu_tasks[0], &a);
     (void)idle;
+}
+
+Co
+parkOneBody(Task &t, Channel **chan)
+{
+    Channel *c = co_await t.openChannel(RequestClass::Compute);
+    *chan = c;
+    if (!c)
+        co_return;
+    const std::uint64_t ref =
+        co_await t.submit(*c, RequestClass::Compute, usec(10));
+    co_await t.waitRef(*c, ref);
+}
+
+TEST_F(KernelFixture, LookupsForgetClosedKilledAndRetiredTasks)
+{
+    // Four tasks, each with one channel and one parked submission;
+    // the first three leave the kernel's tables three different ways,
+    // and the survivor's entries, behind theirs, stay intact.
+    build();
+    sched->unprotectOnActive = false;
+    sched->decision = FaultDecision::Park;
+    Task a(*kernel, "a"), b(*kernel, "b"), c(*kernel, "c"), d(*kernel, "d");
+    Channel *ca = nullptr, *cb = nullptr, *cc = nullptr, *cd = nullptr;
+    kernel->startTask(a, parkOneBody(a, &ca));
+    kernel->startTask(b, parkOneBody(b, &cb));
+    kernel->startTask(c, parkOneBody(c, &cc));
+    kernel->startTask(d, parkOneBody(d, &cd));
+    kernel->start();
+    eq.runUntil(msec(5));
+
+    ASSERT_TRUE(ca && cb && cc && cd);
+    const int ida = ca->id(), idb = cb->id(), idc = cc->id(), idd = cd->id();
+    EXPECT_EQ(kernel->findChannel(ida), ca);
+    EXPECT_EQ(kernel->findChannel(idb), cb);
+    EXPECT_EQ(kernel->findChannel(idc), cc);
+    EXPECT_EQ(kernel->findChannel(idd), cd);
+    for (const Task *t : {&a, &b, &c, &d})
+        EXPECT_TRUE(kernel->hasParked(*t)) << t->name();
+
+    kernel->closeChannel(a, ca);
+    EXPECT_EQ(kernel->findChannel(ida), nullptr);
+
+    kernel->killTask(b, "test kill");
+    EXPECT_EQ(kernel->findChannel(idb), nullptr);
+    EXPECT_FALSE(kernel->hasParked(b));
+
+    kernel->retireTask(c);
+    EXPECT_EQ(kernel->findChannel(idc), nullptr);
+    EXPECT_FALSE(kernel->hasParked(c));
+
+    EXPECT_EQ(kernel->findChannel(idd), cd);
+    EXPECT_TRUE(kernel->hasParked(d));
+    std::vector<int> parked_pids;
+    kernel->forEachParkedPid([&](int pid) { parked_pids.push_back(pid); });
+    EXPECT_EQ(parked_pids, (std::vector<int>{a.pid(), d.pid()}));
+
+    // A closed channel's parked submission is dropped at release.
+    kernel->releaseParked(a);
+    EXPECT_FALSE(kernel->hasParked(a));
+    EXPECT_EQ(kernel->findChannel(idd), cd);
 }
 
 // --------------------------------------------------------------------

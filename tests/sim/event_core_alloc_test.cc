@@ -3,74 +3,16 @@
  * Proves the acceptance criterion that steady-state schedule/cancel/
  * step on the event queue performs zero heap allocations.
  *
- * The global operator new/delete replacements below count every
- * allocation in the test binary; the test warms the queue (pool and
- * heap growth are amortized start-up costs), then replays the
- * identical workload and requires the allocation counter not to move.
+ * The test binary's counting operator new (support/alloc_counter)
+ * sees every allocation; the test warms the queue (pool and heap
+ * growth are amortized start-up costs), then replays the identical
+ * workload and requires the allocation counter not to move.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
 #include "sim/event_queue.hh"
-
-namespace
-{
-
-std::atomic<std::uint64_t> gAllocCount{0};
-
-} // namespace
-
-void *
-operator new(std::size_t size)
-{
-    ++gAllocCount;
-    if (void *p = std::malloc(size))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t size)
-{
-    return ::operator new(size);
-}
-
-// The nothrow forms must be replaced too: the library's defaults (and
-// a sanitizer's) would pair their own allocator with the free() below,
-// e.g. for std::stable_sort's temporary buffer.
-void *
-operator new(std::size_t size, const std::nothrow_t &) noexcept
-{
-    ++gAllocCount;
-    return std::malloc(size);
-}
-
-void *
-operator new[](std::size_t size, const std::nothrow_t &tag) noexcept
-{
-    return ::operator new(size, tag);
-}
-
-void operator delete(void *p) noexcept { std::free(p); }
-void operator delete(void *p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void *p) noexcept { std::free(p); }
-void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
-
-void
-operator delete(void *p, const std::nothrow_t &) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, const std::nothrow_t &) noexcept
-{
-    std::free(p);
-}
+#include "support/alloc_counter.hh"
 
 namespace neon
 {
@@ -147,9 +89,9 @@ TEST(EventCoreAllocation, SteadyStateIsAllocationFree)
     // what the queue holds.
     runWorkload(eq, 2000);
 
-    const std::uint64_t before = gAllocCount.load();
+    const std::uint64_t before = test::allocationCount();
     const std::uint64_t fires = runWorkload(eq, 8000);
-    const std::uint64_t after = gAllocCount.load();
+    const std::uint64_t after = test::allocationCount();
 
     EXPECT_EQ(fires, 2u * 8000);
     EXPECT_EQ(after - before, 0u)
