@@ -50,8 +50,6 @@ Watchdog::convict(int pid, WatchdogCause cause, Tick latency)
     kernel.killTask(*t, cause == WatchdogCause::Hang
                             ? "watchdog: hung channel"
                             : "watchdog: runaway request");
-    if (onKill)
-        onKill(k);
     return true;
 }
 

@@ -20,7 +20,6 @@
 #define NEON_FAULT_WATCHDOG_HH
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <vector>
 
@@ -67,9 +66,6 @@ class Watchdog
     std::uint64_t hangKills() const { return nHangKills; }
     std::uint64_t runawayKills() const { return nRunawayKills; }
     std::uint64_t scans() const { return nScans; }
-
-    /** Observer invoked after each kill (fleet/serve aggregation). */
-    std::function<void(const WatchdogKill &)> onKill;
 
   private:
     /** Last observed progress of one channel. */

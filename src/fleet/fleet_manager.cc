@@ -319,25 +319,11 @@ FleetManager::enableWatchdog(const WatchdogConfig &cfg)
     if (!watchdogs.empty())
         panic("fleet: watchdog already enabled");
     watchdogs.reserve(stacks.size());
-    for (std::size_t i = 0; i < stacks.size(); ++i) {
-        auto w = std::make_unique<Watchdog>(
-            stacks[i]->kernel.eventQueue(), stacks[i]->kernel, cfg, i);
-        // The watchdog fires on its device's shard; fleet-level
-        // observers (the serve layer) only see the verdict at the
-        // window barrier. The device-side kill itself already went
-        // through Process::onKilled above.
-        w->onKill = [this](const WatchdogKill &k) {
-            if (!onWatchdogKill)
-                return;
-            if (ShardedEngine::inShardPhase()) {
-                ShardedEngine::postFromShard(
-                    [this, k] { onWatchdogKill(k); });
-            } else {
-                onWatchdogKill(k);
-            }
-        };
-        watchdogs.push_back(std::move(w));
-    }
+    // A watchdog kill reaches the serve layer like any protection
+    // kill, through Process::onKilled.
+    for (std::size_t i = 0; i < stacks.size(); ++i)
+        watchdogs.push_back(std::make_unique<Watchdog>(
+            stacks[i]->kernel.eventQueue(), stacks[i]->kernel, cfg, i));
 }
 
 std::vector<WatchdogKill>

@@ -209,9 +209,6 @@ class FleetManager
     std::function<void(std::size_t)> onDeviceDown;
     std::function<void(std::size_t)> onDeviceUp;
 
-    /** Observer forwarded every watchdog kill across the fleet. */
-    std::function<void(const WatchdogKill &)> onWatchdogKill;
-
     /** Snapshot of per-device load, ordered by device index. */
     std::vector<DeviceLoadView> loadViews() const;
 

@@ -6,7 +6,7 @@
  * scheduler's reach; a fleet must also show that placement did not
  * concentrate service on a subset of tasks or devices. The helpers here
  * aggregate per-device ground-truth usage (and, where the per-device
- * policy is Disengaged Fair Queueing, its virtual times) into
+ * policy is a fair-queueing one, its published virtual times) into
  * cross-device indices.
  */
 
@@ -18,7 +18,6 @@
 
 #include "fleet/fleet_manager.hh"
 #include "metrics/efficiency.hh"
-#include "sched/disengaged_fq.hh"
 
 namespace neon
 {
@@ -42,10 +41,11 @@ struct FleetFairnessReport
     double deviceBalance = 1.0;
 
     /**
-     * Spread (max - min, in ms) of per-device DFQ system virtual
-     * times; 0 when the per-device policy is not DisengagedFq. A small
-     * spread means the per-device fair queues advanced in step, i.e.
-     * no device's tenants got globally ahead.
+     * Spread (max - min, in ms) of the per-device system virtual times
+     * the fair-queueing policies (DisengagedFq, EngagedFq) publish,
+     * not speed-normalized; 0 under any other policy. A small spread
+     * means the per-device fair queues advanced in step, i.e. no
+     * device's tenants got globally ahead.
      */
     double vtimeSpreadMs = 0.0;
 };
@@ -62,8 +62,7 @@ fleetTaskFairness(const std::vector<FleetTaskUsage> &usage,
     std::vector<double> work;
     work.reserve(usage.size());
     for (const FleetTaskUsage &u : usage) {
-        const double speed =
-            fleet.stack(u.device).device.config().speedFactor;
+        const double speed = fleet.speedFactors()[u.device];
         work.push_back(static_cast<double>(u.busy) *
                        (speed > 0.0 ? speed : 1.0));
     }
@@ -81,46 +80,28 @@ fleetDeviceBalance(const std::vector<Tick> &per_device_busy)
     return jainIndex(load);
 }
 
-/** Sentinel for devices whose policy exports no virtual times. */
-constexpr Tick notDfqVtime = -1;
-
 /**
- * Per-device system virtual times, read through the VirtualTimeTap
- * every fair-queueing policy implements (DisengagedFq, EngagedFq);
- * entries are notDfqVtime for devices running another policy. A
- * genuine 0 means an idle fair-queueing device — it counts toward the
- * spread (it IS maximally behind).
- */
-inline std::vector<Tick>
-fleetDfqVtimes(FleetManager &fleet)
-{
-    std::vector<Tick> vts;
-    vts.reserve(fleet.deviceCount());
-    for (std::size_t i = 0; i < fleet.deviceCount(); ++i) {
-        const VirtualTimeTap *tap = fleet.stack(i).vtimeTap;
-        vts.push_back(tap ? tap->tapSystemVtime() : notDfqVtime);
-    }
-    return vts;
-}
-
-/**
- * Max-min spread of per-device DFQ virtual times, in milliseconds.
- * @p baseline (a fleetDfqVtimes snapshot, e.g. taken at the start of
- * a measurement window) is subtracted per device when provided, so
- * the spread covers only the window's advancement.
+ * Max-min spread of the per-device system virtual times the fleet's
+ * fair-queueing policies publish (FleetManager::publishedVtimes), in
+ * milliseconds; devices whose policy keeps none are skipped. A genuine
+ * 0 means an idle fair-queueing device — it counts toward the spread
+ * (it IS maximally behind). @p baseline (a publishedVtimes() copy,
+ * e.g. taken at the start of a measurement window) is subtracted per
+ * device when provided, so the spread covers only the window's
+ * advancement.
  */
 inline double
-fleetVtimeSpreadMs(FleetManager &fleet,
+fleetVtimeSpreadMs(const FleetManager &fleet,
                    const std::vector<Tick> &baseline = {})
 {
-    const std::vector<Tick> vts = fleetDfqVtimes(fleet);
+    const std::vector<Tick> &vts = fleet.publishedVtimes();
     Tick lo = 0, hi = 0;
     bool any = false;
     for (std::size_t i = 0; i < vts.size(); ++i) {
-        if (vts[i] == notDfqVtime)
+        if (vts[i] == FleetManager::noVtime)
             continue;
         Tick v = vts[i];
-        if (i < baseline.size() && baseline[i] != notDfqVtime)
+        if (i < baseline.size() && baseline[i] != FleetManager::noVtime)
             v -= baseline[i];
         if (!any) {
             lo = hi = v;

@@ -3,11 +3,10 @@
  * Round-robin channel arbitration for one engine.
  *
  * The device cycles among channels with pending requests, processing one
- * request per visit. Graphics channels may be configured with a penalty
- * N: when compute channels are also pending, a graphics channel wins
- * only one in N of its arbitration opportunities. This models the
- * non-uniform internal scheduling the paper observed for OpenGL work
- * (Section 5.3, the glxgears anomaly).
+ * request per visit, whatever the channel's class. Graphics work falls
+ * behind a compute co-runner (the paper's glxgears observation, Section
+ * 5.3) through the device's pipeline-switch cost
+ * (DeviceConfig::pipelineSwitchCost), not through arbitration.
  */
 
 #ifndef NEON_GPU_ARBITER_HH
@@ -17,7 +16,6 @@
 #include <vector>
 
 #include "gpu/channel.hh"
-#include "gpu/request.hh"
 
 namespace neon
 {
@@ -26,8 +24,6 @@ namespace neon
 class Arbiter
 {
   public:
-    explicit Arbiter(int gfx_penalty = 1) : gfxPenalty(gfx_penalty) {}
-
     /** Add a channel to the rotation. */
     void
     registerChannel(Channel *c)
@@ -60,45 +56,13 @@ class Arbiter
     Channel *
     pick()
     {
-        if (rotation.empty())
-            return nullptr;
-
         const std::size_t n = rotation.size();
-        Channel *fallback = nullptr;
-
-        bool computePending = false;
-        for (Channel *c : rotation) {
-            if (!c->ring().empty() &&
-                c->channelClass() != RequestClass::Graphics) {
-                computePending = true;
-                break;
-            }
-        }
-
         for (std::size_t step = 0; step < n; ++step) {
             Channel *c = rotation[(cursor + step) % n];
             if (c->ring().empty())
                 continue;
-
-            const bool penalized = computePending && gfxPenalty > 1 &&
-                c->channelClass() == RequestClass::Graphics;
-            if (penalized && c->arbCredit > 0) {
-                --c->arbCredit;
-                if (!fallback)
-                    fallback = c;
-                continue;
-            }
-
-            c->arbCredit = penalized ? gfxPenalty - 1 : 0;
             cursor = (cursor + step + 1) % n;
             return c;
-        }
-
-        // Only penalized channels had work and all were skipped this
-        // pass; serve the first of them rather than idle the engine.
-        if (fallback) {
-            fallback->arbCredit = gfxPenalty - 1;
-            return fallback;
         }
         return nullptr;
     }
@@ -106,7 +70,6 @@ class Arbiter
   private:
     std::vector<Channel *> rotation;
     std::size_t cursor = 0;
-    int gfxPenalty;
 };
 
 } // namespace neon

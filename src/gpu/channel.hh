@@ -136,9 +136,6 @@ class Channel
      */
     std::uint64_t polledRef = 0;
 
-    /** Arbitration bookkeeping (owned by the device's arbiter). */
-    int arbCredit = 0;
-
     /**
      * Fault-injection arming: the next request dispatched from this
      * channel hangs (its service time becomes infinite). Set by the

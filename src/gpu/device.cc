@@ -11,8 +11,7 @@ namespace neon
 GpuDevice::GpuDevice(EventQueue &eq, const DeviceConfig &cfg,
                      UsageMeter &meter)
     : eq(eq), cfg(cfg), meter(meter),
-      engines{Engine(EngineKind::Execute, cfg.gfxArbPenalty),
-              Engine(EngineKind::Copy, 1)}
+      engines{Engine(EngineKind::Execute), Engine(EngineKind::Copy)}
 {
     if (cfg.speedFactor <= 0.0)
         panic("device: speedFactor must be positive, got ",

@@ -6,8 +6,8 @@
  *  - requests enter per-channel ring buffers via doorbell notification
  *    and are processed in FIFO order within a channel;
  *  - the execute engine cycles round-robin among channels with pending
- *    work (graphics channels optionally penalized), one request per
- *    visit, paying a context-switch cost between contexts;
+ *    work, one request per visit, paying a context-switch cost between
+ *    contexts;
  *  - a separate copy engine serves DMA channels concurrently;
  *  - on completion the device writes the request's reference value to
  *    the channel's reference counter (visible to user spinners at once,
@@ -155,10 +155,7 @@ class GpuDevice
         int lastChannel = -1;
         RequestClass lastClass = RequestClass::Compute;
 
-        explicit Engine(EngineKind k, int gfx_penalty)
-            : kind(k), arb(gfx_penalty)
-        {
-        }
+        explicit Engine(EngineKind k) : kind(k) {}
     };
 
     Engine &engineOf(EngineKind k)

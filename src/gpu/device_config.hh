@@ -1,6 +1,9 @@
 /**
  * @file
- * Calibration constants for the device model (Kepler-class defaults).
+ * Calibration of the device model (Kepler-class defaults): the channel
+ * pool and speed factor are per-experiment settings; the switch,
+ * cleanup and ring-size constants are fixed facts of the modelled
+ * device.
  */
 
 #ifndef NEON_GPU_DEVICE_CONFIG_HH
@@ -20,10 +23,7 @@ namespace neon
  * externally visible behaviour goes: fast context switching among
  * channels, a fixed pool of channels (48 contexts x (compute + DMA)
  * exhaust it), and round-robin cycling among channels with pending
- * requests. Graphics channels receive a configurable arbitration
- * penalty, reproducing the non-uniform internal scheduling the paper
- * observed for OpenGL workloads (glxgears completing at roughly 1/3 the
- * rate of a compute co-runner).
+ * requests.
  */
 struct DeviceConfig
 {
@@ -31,13 +31,13 @@ struct DeviceConfig
     std::size_t maxChannels = 96;
 
     /** Ring-buffer entries per channel. */
-    std::size_t ringCapacity = 512;
+    static constexpr std::size_t ringCapacity = 512;
 
     /** Cost of switching the execute engine between GPU contexts. */
-    Tick contextSwitchCost = usec(5);
+    static constexpr Tick contextSwitchCost = usec(5);
 
     /** Cost of switching between channels of the same context. */
-    Tick channelSwitchCost = usec(1);
+    static constexpr Tick channelSwitchCost = usec(1);
 
     /**
      * Cost of reconfiguring the execute engine between the graphics
@@ -47,17 +47,10 @@ struct DeviceConfig
      * co-runner's rate during free-run periods), and it is invisible
      * to a size-based usage estimator.
      */
-    Tick pipelineSwitchCost = usec(25);
-
-    /**
-     * Graphics channels win arbitration only once per this many
-     * opportunities when competing with compute channels (1 = uniform
-     * round-robin per channel, the default).
-     */
-    int gfxArbPenalty = 1;
+    static constexpr Tick pipelineSwitchCost = usec(25);
 
     /** Device-side cleanup time when a channel is aborted (task kill). */
-    Tick abortCleanupCost = usec(50);
+    static constexpr Tick abortCleanupCost = usec(50);
 
     /**
      * Relative execution speed of this device. Execute-engine service

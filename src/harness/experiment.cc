@@ -195,7 +195,7 @@ World::World(const ExperimentConfig &cfg)
     if (cfg.fault.watchdog.enabled)
         fleet.enableWatchdog(cfg.fault.watchdog);
     if (cfg.observe.audit.enabled) {
-        auditor = std::make_unique<obs::Auditor>(eq, cfg.observe.audit);
+        auditor = std::make_unique<obs::Auditor>(eq);
         obs::registerFleetAudits(
             *auditor, fleet,
             cfg.fault.watchdog.enabled ? &cfg.fault.watchdog : nullptr);
@@ -240,7 +240,7 @@ World::beginMeasurement()
     for (std::size_t i = 0; i < fleet.deviceCount(); ++i)
         deviceSwitchBaseline.push_back(
             fleet.stack(i).meter.totalSwitchOverhead());
-    vtimeBaseline = fleetDfqVtimes(fleet);
+    vtimeBaseline = fleet.publishedVtimes();
     for (Task *t : fleet.tasks())
         t->resetStats();
     for (const FleetTaskUsage &u : fleet.taskUsage()) {

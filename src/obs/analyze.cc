@@ -366,7 +366,7 @@ Analyzer::closeWindow(Tick ws, Tick we)
 
     if (devBusyPrev.size() < fleet.deviceCount())
         devBusyPrev.resize(fleet.deviceCount(), 0);
-    const std::vector<DeviceLoadView> loads = fleet.loadViews();
+    const std::vector<std::size_t> &live = fleet.liveTaskCounts();
     for (std::size_t i = 0; i < fleet.deviceCount(); ++i) {
         const Tick b = fleet.stack(i).meter.totalBusy();
         w.deviceUtil.push_back(
@@ -374,7 +374,7 @@ Analyzer::closeWindow(Tick ws, Tick we)
                     static_cast<double>(we - ws)
                     : 0.0);
         devBusyPrev[i] = b;
-        w.occupancy.push_back(loads[i].assignedTasks);
+        w.occupancy.push_back(live[i]);
     }
 
     w.queueDepth = engine.admissionState().pendingCount();

@@ -5,7 +5,6 @@
 
 #include "fault/fault_config.hh"
 #include "fleet/fleet_manager.hh"
-#include "sched/vtime_tap.hh"
 #include "serve/serve_engine.hh"
 #include "sim/event_queue.hh"
 
@@ -58,11 +57,6 @@ AuditLog::recordViolation(const char *name, Tick when, std::int64_t expected,
         samples.push_back({name, when, expected, actual});
 }
 
-Auditor::Auditor(EventQueue &q, const AuditConfig &c)
-    : eq(q), cfg(c)
-{
-}
-
 void
 Auditor::addPeriodic(std::string name, Check fn)
 {
@@ -105,10 +99,10 @@ Auditor::addMonotone(const std::string &name, std::function<double()> probe)
 void
 Auditor::start()
 {
-    if (started || cfg.period <= 0)
+    if (started)
         return;
     started = true;
-    eq.scheduleIn(cfg.period, [this] { tick(); });
+    eq.scheduleIn(AuditConfig::period, [this] { tick(); });
 }
 
 void
@@ -118,7 +112,7 @@ Auditor::tick()
         return;
     for (auto &p : periodic)
         p.second(log_, eq.now());
-    eq.scheduleIn(cfg.period, [this] { tick(); });
+    eq.scheduleIn(AuditConfig::period, [this] { tick(); });
 }
 
 void
@@ -137,11 +131,12 @@ void
 registerFleetAudits(Auditor &a, FleetManager &fleet,
                     const WatchdogConfig *wd)
 {
+    const std::vector<Tick> &vtimes = fleet.publishedVtimes();
     for (std::size_t i = 0; i < fleet.deviceCount(); ++i) {
         const std::string dev = "dev" + std::to_string(i);
-        if (const VirtualTimeTap *tap = fleet.stack(i).vtimeTap) {
-            a.addMonotone(dev + ".vtime_monotone", [tap] {
-                return static_cast<double>(tap->tapSystemVtime());
+        if (vtimes[i] != FleetManager::noVtime) {
+            a.addMonotone(dev + ".vtime_monotone", [&vtimes, i] {
+                return static_cast<double>(vtimes[i]);
             });
         }
         a.addMonotone(dev + ".busy_monotone", [&fleet, i] {

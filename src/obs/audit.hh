@@ -44,8 +44,8 @@ struct AuditConfig
     /** Run the registered invariant checks (on by default). */
     bool enabled = true;
 
-    /** Periodic check cadence in virtual time (0 = final pass only). */
-    Tick period = msec(10);
+    /** Periodic check cadence in virtual time. */
+    static constexpr Tick period = msec(10);
 };
 
 /** One recorded invariant violation (diagnostic sample). */
@@ -111,11 +111,12 @@ class AuditLog
 
 /**
  * Drives registered checks against one world's EventQueue: periodic
- * checks every cfg.period of virtual time, monotonicity watches (a
- * probed value must never decrease between observations), and final
- * checks run once at finalize(). All checks are read-only observers of
- * simulation state; in sharded runs the periodic event executes on the
- * control queue at window barriers, where reading shard state is safe.
+ * checks every AuditConfig::period of virtual time, monotonicity
+ * watches (a probed value must never decrease between observations),
+ * and final checks run once at finalize(). All checks are read-only
+ * observers of simulation state; in sharded runs the periodic event
+ * executes on the control queue at window barriers, where reading
+ * shard state is safe.
  */
 class Auditor
 {
@@ -123,12 +124,12 @@ class Auditor
     /** A check body: evaluate invariants into @p log at time @p now. */
     using Check = std::function<void(AuditLog &, Tick)>;
 
-    Auditor(EventQueue &eq, const AuditConfig &cfg);
+    explicit Auditor(EventQueue &q) : eq(q) {}
 
     Auditor(const Auditor &) = delete;
     Auditor &operator=(const Auditor &) = delete;
 
-    /** Run @p fn every cfg.period (and once more at finalize). */
+    /** Run @p fn every AuditConfig::period (and once more at finalize). */
     void addPeriodic(std::string name, Check fn);
 
     /** Run @p fn once, at finalize. */
@@ -137,7 +138,7 @@ class Auditor
     /** Watch @p probe: its value must never decrease. */
     void addMonotone(const std::string &name, std::function<double()> probe);
 
-    /** Arm the periodic cadence (no-op when cfg.period == 0). */
+    /** Arm the periodic cadence. */
     void start();
 
     /**
@@ -153,7 +154,6 @@ class Auditor
     void tick();
 
     EventQueue &eq;
-    AuditConfig cfg;
     AuditLog log_;
     std::vector<std::pair<std::string, Check>> periodic;
     std::vector<std::pair<std::string, Check>> finals;

@@ -6,7 +6,6 @@
 
 #include "fleet/fleet_manager.hh"
 #include "obs/chrome_trace.hh"
-#include "sched/vtime_tap.hh"
 #include "serve/serve_engine.hh"
 #include "sim/logging.hh"
 #include "sim/sharded_engine.hh"
@@ -41,27 +40,29 @@ Observer::attachFleet(FleetManager &fleet)
     registry.probe("eq.executed", [this] {
         return static_cast<double>(eq.executed());
     });
+    // The probes hold the fleet's dense per-device arrays by
+    // reference: they are never resized after the stacks are built.
+    const std::vector<Tick> &vtimes = fleet.publishedVtimes();
+    const std::vector<double> &speeds = fleet.speedFactors();
+    const std::vector<std::size_t> &live = fleet.liveTaskCounts();
     for (std::size_t i = 0; i < fleet.deviceCount(); ++i) {
         const std::string dev = "dev" + std::to_string(i);
-        registry.probe(dev + ".queue_depth", [&fleet, i] {
-            return static_cast<double>(fleet.loadViews()[i].assignedTasks);
+        registry.probe(dev + ".queue_depth", [&live, i] {
+            return static_cast<double>(live[i]);
         });
-        if (const VirtualTimeTap *tap = fleet.stack(i).vtimeTap) {
-            const double speed = fleet.stack(i).device.config().speedFactor;
-            registry.probe(dev + ".norm_vtime_ms", [tap, speed] {
-                return toMsec(tap->tapSystemVtime()) * speed;
+        if (vtimes[i] != FleetManager::noVtime) {
+            registry.probe(dev + ".norm_vtime_ms", [&vtimes, &speeds, i] {
+                return toMsec(vtimes[i]) * speeds[i];
             });
         }
     }
-    registry.probe("fleet.vtime_lag_ms", [&fleet] {
+    registry.probe("fleet.vtime_lag_ms", [&vtimes, &speeds] {
         double lo = 0.0, hi = 0.0;
         bool any = false;
-        for (std::size_t i = 0; i < fleet.deviceCount(); ++i) {
-            const VirtualTimeTap *tap = fleet.stack(i).vtimeTap;
-            if (!tap)
+        for (std::size_t i = 0; i < vtimes.size(); ++i) {
+            if (vtimes[i] == FleetManager::noVtime)
                 continue;
-            const double norm = toMsec(tap->tapSystemVtime()) *
-                                fleet.stack(i).device.config().speedFactor;
+            const double norm = toMsec(vtimes[i]) * speeds[i];
             if (!any) {
                 lo = hi = norm;
                 any = true;

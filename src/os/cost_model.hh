@@ -6,7 +6,8 @@
  * write on a 2.27 GHz Nehalem host; "thousands of cycles" for a
  * user/kernel mode switch including cache pollution) and are otherwise
  * chosen so the paper's reported overheads emerge from the mechanisms.
- * Everything is per-experiment configurable.
+ * The direct doorbell write is a per-experiment setting (the Sec. 3
+ * sweep varies it); every other cost is a fixed constant.
  */
 
 #ifndef NEON_OS_COST_MODEL_HH
@@ -22,10 +23,10 @@ namespace neon
 /** Latency model for kernel entries, faults, and maintenance scans. */
 struct CostModel
 {
-    /** Host clock, GHz (paper: 2.27 GHz Xeon E5520). */
-    double cpuGhz = 2.27;
-
-    /** Direct user-space doorbell store (305 cycles, paper Sec. 3). */
+    /**
+     * Direct user-space doorbell store (305 cycles on the paper's
+     * 2.27 GHz Xeon E5520, Sec. 3).
+     */
     Tick directDoorbellWrite = cyclesToTicks(305, 2.27);
 
     /**
@@ -34,42 +35,39 @@ struct CostModel
      * counter, kernel mapping, scheduler invocation, single-step, and
      * re-protection (with TLB maintenance).
      */
-    Tick faultBase = usec(9);
+    static constexpr Tick faultBase = usec(9);
 
     /** Additional scan cost per request already queued in the channel. */
-    Tick faultPerQueuedEntry = nsec(120);
+    static constexpr Tick faultPerQueuedEntry = nsec(120);
 
     /** Extra latency when a parked (delayed) submission is released. */
-    Tick parkedRelease = usec(1);
+    static constexpr Tick parkedRelease = usec(1);
 
     /** Plain syscall entry/exit (mode switch + cache effects). */
-    Tick syscallEntry = nsec(1200);
+    static constexpr Tick syscallEntry = nsec(1200);
 
     /** Thin driver submission path (Sec. 3 trap-per-request stack). */
-    Tick driverThinPath = usec(2.5);
+    static constexpr Tick driverThinPath = usec(2.5);
 
     /** Nontrivial driver processing per request (Sec. 3 comparison). */
-    Tick driverHeavyPath = usec(8);
+    static constexpr Tick driverHeavyPath = usec(8);
 
     /** Marking one channel register present/non-present (incl. TLB). */
-    Tick protectionToggle = usec(1.5);
+    static constexpr Tick protectionToggle = usec(1.5);
 
     /**
      * Post-re-engagement status update: scanning the command queue and
      * walking page tables to find last-submitted reference values.
      */
-    Tick statusUpdateBase = usec(40);
-    Tick statusUpdatePerChannel = usec(5);
+    static constexpr Tick statusUpdateBase = usec(40);
+    static constexpr Tick statusUpdatePerChannel = usec(5);
 
     /** Channel creation: ioctl plus three mmaps through our hooks. */
-    Tick channelOpen = usec(30);
-
-    /** OS-side process-kill cleanup before device abort completes. */
-    Tick killCleanup = usec(80);
+    static constexpr Tick channelOpen = usec(30);
 
     /** Interception cost of one submission given current queue depth. */
-    Tick
-    faultPath(std::size_t queue_depth) const
+    static constexpr Tick
+    faultPath(std::size_t queue_depth)
     {
         return faultBase +
             faultPerQueuedEntry * static_cast<Tick>(queue_depth);

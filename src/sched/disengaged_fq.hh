@@ -39,29 +39,29 @@ namespace neon
 struct DfqConfig
 {
     /** Per-task sampling budget: time cap... */
-    Tick samplingMax = msec(5);
+    static constexpr Tick samplingMax = msec(5);
 
     /** ...or request-count cap, whichever hits first (paper: 32). */
     int samplingRequests = 32;
 
     /** Count cap for tasks with multiple channels (paper: 96). */
-    int samplingRequestsMulti = 96;
+    static constexpr int samplingRequestsMulti = 96;
 
     /**
      * Completions faster than this are classified as trivial
      * state-change commands (NEON parses the command stream during
      * engagement anyway) and excluded from request-size estimation.
      */
-    Tick samplingSizeFloor = usec(3);
+    static constexpr Tick samplingSizeFloor = usec(3);
 
     /** Free run lasts this many times the engagement episode. */
     double freeRunMultiplier = 5.0;
 
     /** Lower bound on the free-run period. */
-    Tick minFreeRun = msec(5);
+    static constexpr Tick minFreeRun = msec(5);
 
     /** First free run after the initial channel activation. */
-    Tick initialFreeRun = msec(25);
+    static constexpr Tick initialFreeRun = msec(25);
 
     /** Drain wait beyond which the offending task is killed. */
     Tick killThreshold = msec(200);
@@ -105,7 +105,6 @@ class DisengagedFairQueueing : public Scheduler, public VirtualTimeTap
     // Introspection (tests/benches).
     Phase phase() const { return curPhase; }
     Tick vtimeOf(int pid) const;
-    Tick systemVtime() const { return sysVtime; }
 
     // VirtualTimeTap (cross-device aggregation).
     Tick tapSystemVtime() const override { return sysVtime; }

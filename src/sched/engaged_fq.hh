@@ -30,10 +30,10 @@ namespace neon
 struct EngagedFqConfig
 {
     /** Initial request-size estimate before any observation. */
-    Tick initialEstimate = usec(50);
+    static constexpr Tick initialEstimate = usec(50);
 
     /** EWMA weight of the newest observation. */
-    double estimateGain = 0.3;
+    static constexpr double estimateGain = 0.3;
 
     /**
      * Anticipatory dispatch delay after a completion, so that the
@@ -42,7 +42,7 @@ struct EngagedFqConfig
      * the "deceptive idleness" remedy of anticipatory fair queueing
      * schedulers such as FlashFQ.
      */
-    Tick anticipation = usec(2);
+    static constexpr Tick anticipation = usec(2);
 
     /** Time on device beyond which the owning task is killed. */
     Tick killThreshold = msec(200);
@@ -60,8 +60,6 @@ class EngagedFairQueueing : public Scheduler, public VirtualTimeTap
     FaultDecision onSubmitFault(Task &t, Channel &c,
                                 const GpuRequest &req) override;
     void onPoll(Tick now) override;
-
-    Tick systemVtime() const { return sysV; }
 
     // VirtualTimeTap (cross-device aggregation); a task's vtime is its
     // finish tag.

@@ -111,10 +111,10 @@ struct PredictiveShedConfig
     double safety = 1.0;
 
     /** EWMA weight of the newest observed holding time (0..1]. */
-    double holdAlpha = 0.2;
+    static constexpr double holdAlpha = 0.2;
 
     /** Floor on any per-class holding estimate. */
-    Tick holdFloor = msec(1);
+    static constexpr Tick holdFloor = msec(1);
 };
 
 /**
@@ -149,10 +149,10 @@ struct RetryConfig
     int maxRetries = 3;
 
     /** First backoff; attempt k waits base << k, capped below. */
-    Tick backoffBase = msec(2);
+    static constexpr Tick backoffBase = msec(2);
 
     /** Ceiling on any single backoff. */
-    Tick backoffCap = msec(64);
+    static constexpr Tick backoffCap = msec(64);
 };
 
 /**

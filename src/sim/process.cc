@@ -56,8 +56,6 @@ Process::retire()
     cancelResume();
     procState = State::Done;
     body.destroy();
-    // Deliberately no onDone: the body did not run to completion, the
-    // caller ended it and already knows.
 }
 
 void
@@ -103,8 +101,6 @@ Process::stepBody()
     if (body.done()) {
         procState = State::Done;
         body.destroy();
-        if (onDone)
-            onDone(*this);
     }
 }
 

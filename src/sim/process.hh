@@ -68,9 +68,6 @@ class Process
     EventQueue &eventQueue() { return eq; }
     Tick now() const { return eq.now(); }
 
-    /** Invoked once when the body runs to completion. */
-    std::function<void(Process &)> onDone;
-
     /** Invoked once when the process is killed. */
     std::function<void(Process &)> onKilled;
 

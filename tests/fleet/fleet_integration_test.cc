@@ -134,7 +134,7 @@ TEST(FleetFairness, DfqVtimesAdvanceOnEveryDevice)
     world.start();
     world.runFor(sec(1));
 
-    const std::vector<Tick> vts = fleetDfqVtimes(world.fleet);
+    const std::vector<Tick> &vts = world.fleet.publishedVtimes();
     ASSERT_EQ(vts.size(), 2u);
     EXPECT_GT(vts[0], 0);
     EXPECT_GT(vts[1], 0);

@@ -98,7 +98,6 @@ TEST_F(DeviceFixture, RoundRobinAcrossChannels)
 
 TEST_F(DeviceFixture, ContextSwitchCostsAccrue)
 {
-    cfg.contextSwitchCost = usec(5);
     build();
     auto *ctxa = dev->createContext(1);
     auto *ctxb = dev->createContext(2);
@@ -110,8 +109,9 @@ TEST_F(DeviceFixture, ContextSwitchCostsAccrue)
     eq.drain();
 
     // One switch between the two contexts (first dispatch is free).
-    EXPECT_EQ(meter.totalSwitchOverhead(), usec(5));
-    EXPECT_EQ(eq.now(), usec(10) + usec(5) + usec(10));
+    const Tick sw = DeviceConfig::contextSwitchCost;
+    EXPECT_EQ(meter.totalSwitchOverhead(), sw);
+    EXPECT_EQ(eq.now(), usec(10) + sw + usec(10));
 }
 
 TEST_F(DeviceFixture, DmaOverlapsCompute)

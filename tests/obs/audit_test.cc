@@ -75,10 +75,9 @@ TEST(AuditLog, CleanReportAfterPassingChecks)
 
 TEST(Auditor, PeriodicCadenceAndSeededViolations)
 {
+    static_assert(AuditConfig::period == msec(10));
     EventQueue eq;
-    AuditConfig cfg;
-    cfg.period = msec(10);
-    Auditor a(eq, cfg);
+    Auditor a(eq);
 
     // A passing periodic check, a failing one, a decreasing monotone
     // probe, and a final check that only runs at finalize.
@@ -129,13 +128,11 @@ TEST(Auditor, PeriodicCadenceAndSeededViolations)
 TEST(Auditor, MonotoneProbePassesWhenNonDecreasing)
 {
     EventQueue eq;
-    AuditConfig cfg;
-    cfg.period = msec(5);
-    Auditor a(eq, cfg);
+    Auditor a(eq);
     double v = 0.0;
     a.addMonotone("growing", [&] { return v += 2.0; });
     a.start();
-    eq.runFor(msec(30));
+    eq.runFor(msec(60));
     a.finalize();
     const AuditReport r = a.report();
     EXPECT_TRUE(r.clean()) << r.summary();

@@ -6,11 +6,14 @@
  * on every device track, session flow events spanning a migration,
  * and counter tracks for queue depth and virtual-time lag — and
  * switching tracing on must not change the simulation's results, there
- * or in a closed multi-device run.
+ * or in a closed multi-device run. The fleet probes must also read
+ * exactly the device stacks' own state at every sample, serial and
+ * sharded.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <sstream>
@@ -286,6 +289,117 @@ TEST(ObserveIntegration, TracingDoesNotPerturbClosedWorldResults)
         EXPECT_EQ(plain->traceOf(dev).of(pid).submissions,
                   traced->traceOf(dev).of(pid).submissions);
     }
+}
+
+/** What the fleet probes should read at one sample, per the stacks. */
+struct FleetStateSample
+{
+    Tick when = 0;
+    std::vector<double> queueDepth; ///< per device
+    std::vector<double> normVtime;  ///< per device
+    double vtimeLag = 0.0;
+};
+
+/**
+ * Runs the heterogeneous 4-device DFQ serve scenario on @p shards
+ * shards, sampled every 1 ms, and checks every sample of the standard
+ * fleet probes against an oracle probe registered after them. The
+ * oracle reads the device stacks themselves: each policy's vtime tap
+ * times the device's configured speed factor, and the fleet's load
+ * views. The standard probes read the fleet's dense arrays instead.
+ */
+void
+expectProbesMatchFleetState(unsigned shards)
+{
+    ExperimentConfig cfg = scenarioConfig();
+    cfg.observe.samplePeriod = msec(1);
+    cfg.shards.count = shards;
+    cfg.shards.threads = shards;
+    cfg.measure = sec(2);
+
+    ServeWorld world(cfg, scenarioClasses());
+    ASSERT_NE(world.observer, nullptr);
+    FleetManager &fleet = world.fleet;
+    const std::size_t n = fleet.deviceCount();
+    for (std::size_t i = 0; i < n; ++i)
+        ASSERT_NE(fleet.stack(i).vtimeTap, nullptr) << "device " << i;
+
+    std::vector<FleetStateSample> oracle;
+    world.observer->metrics().probe("test.oracle", [&] {
+        FleetStateSample o;
+        o.when = world.eq.now();
+        const std::vector<DeviceLoadView> loads = fleet.loadViews();
+        for (std::size_t i = 0; i < n; ++i) {
+            o.queueDepth.push_back(
+                static_cast<double>(loads[i].assignedTasks));
+            const DeviceStack &s = fleet.stack(i);
+            o.normVtime.push_back(toMsec(s.vtimeTap->tapSystemVtime()) *
+                                  s.device.config().speedFactor);
+        }
+        const auto [lo, hi] =
+            std::minmax_element(o.normVtime.begin(), o.normVtime.end());
+        o.vtimeLag = *hi - *lo;
+        oracle.push_back(std::move(o));
+        return 0.0;
+    });
+
+    world.start();
+    world.runFor(cfg.measure);
+    const ServeRunResult r = world.results();
+    ASSERT_GT(r.departures, 0u);
+    ASSERT_GE(oracle.size(), 1000u);
+
+    std::map<std::string, const MetricSeries *> series;
+    for (const MetricSeries &s : world.observer->metrics().series())
+        series[s.name] = &s;
+
+    // Every sample equals the oracle's, bit for bit and at its time.
+    const auto expectSeries = [&](const std::string &name,
+                                  const auto &want) {
+        ASSERT_EQ(series.count(name), 1u) << name;
+        const std::vector<MetricSample> &got = series[name]->samples;
+        ASSERT_EQ(got.size(), oracle.size()) << name;
+        for (std::size_t k = 0; k < got.size(); ++k) {
+            ASSERT_EQ(got[k].when, oracle[k].when) << name << " #" << k;
+            ASSERT_EQ(got[k].value, want(oracle[k]))
+                << name << " at " << toMsec(got[k].when) << " ms";
+        }
+    };
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::string dev = "dev" + std::to_string(i);
+        expectSeries(dev + ".queue_depth", [i](const FleetStateSample &o) {
+            return o.queueDepth[i];
+        });
+        expectSeries(dev + ".norm_vtime_ms", [i](const FleetStateSample &o) {
+            return o.normVtime[i];
+        });
+    }
+    expectSeries("fleet.vtime_lag_ms",
+                 [](const FleetStateSample &o) { return o.vtimeLag; });
+
+    // The comparison is not vacuous: every device held tasks and
+    // advanced its vtime, and the speed-normalized vtimes diverged.
+    for (std::size_t i = 0; i < n; ++i) {
+        bool held = false;
+        for (const FleetStateSample &o : oracle)
+            held = held || o.queueDepth[i] > 0.0;
+        EXPECT_TRUE(held) << "device " << i;
+        EXPECT_GT(oracle.back().normVtime[i], 0.0) << "device " << i;
+    }
+    bool lagged = false;
+    for (const FleetStateSample &o : oracle)
+        lagged = lagged || o.vtimeLag > 0.0;
+    EXPECT_TRUE(lagged);
+}
+
+TEST(ObserveIntegration, ProbesMatchFleetState)
+{
+    expectProbesMatchFleetState(0);
+}
+
+TEST(ObserveIntegration, ShardedProbesMatchFleetState)
+{
+    expectProbesMatchFleetState(3);
 }
 
 } // namespace

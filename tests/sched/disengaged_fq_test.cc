@@ -214,10 +214,10 @@ TEST(DisengagedFq, SleeperDoesNotBankCredit)
     // that nobody's virtual time sits below the system virtual time by
     // more than an interval (no banked credit).
     EXPECT_GE(toMsec(dfq->vtimeOf(busy.pid())),
-              toMsec(dfq->systemVtime()) -
+              toMsec(dfq->tapSystemVtime()) -
                   2.0 * toMsec(dfq->currentFreeRun()));
     EXPECT_GE(toMsec(dfq->vtimeOf(late.pid())),
-              toMsec(dfq->systemVtime()) -
+              toMsec(dfq->tapSystemVtime()) -
                   2.0 * toMsec(dfq->currentFreeRun()));
 }
 

@@ -66,7 +66,7 @@ TEST(EngagedFq, SizeEstimateConverges)
     ASSERT_NE(efq, nullptr);
     // finish tags advance by ~estimate per request; estimate itself is
     // internal, but the system virtual time tracks real usage.
-    EXPECT_GT(toMsec(efq->systemVtime()), 500.0);
+    EXPECT_GT(toMsec(efq->tapSystemVtime()), 500.0);
 }
 
 TEST(EngagedFq, TaskVtimeTapReadsTheFinishTag)
@@ -78,9 +78,8 @@ TEST(EngagedFq, TaskVtimeTapReadsTheFinishTag)
     UsageMeter meter;
     GpuDevice dev(eq, DeviceConfig(), meter);
     KernelModule kernel(eq, dev);
-    EngagedFqConfig cfg;
-    cfg.initialEstimate = usec(50);
-    EngagedFairQueueing efq(kernel, cfg);
+    static_assert(EngagedFqConfig::initialEstimate == usec(50));
+    EngagedFairQueueing efq(kernel);
     kernel.setScheduler(&efq);
     const VirtualTimeTap &tap = efq;
 

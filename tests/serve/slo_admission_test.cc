@@ -14,14 +14,17 @@ namespace neon
 namespace
 {
 
+// The EWMA weight and estimate floor are fixed; the expectations below
+// are worked out for these values.
+static_assert(PredictiveShedConfig::holdAlpha == 0.2);
+static_assert(PredictiveShedConfig::holdFloor == msec(1));
+
 PredictiveShedConfig
-shedCfg(double safety = 1.0, double alpha = 0.2, Tick floor = msec(1))
+shedCfg(double safety = 1.0)
 {
     PredictiveShedConfig cfg;
     cfg.enabled = true;
     cfg.safety = safety;
-    cfg.holdAlpha = alpha;
-    cfg.holdFloor = floor;
     return cfg;
 }
 
@@ -73,17 +76,17 @@ TEST(SloHold, SeedPrimesFromLifetimeMeanWithFloor)
 
 TEST(SloHold, EwmaFoldsObservationsDeterministically)
 {
-    SloAdmission m(shedCfg(1.0, 0.5));
+    SloAdmission m(shedCfg());
     m.seedHold("c", msec(10));
-    m.noteHold("c", msec(30)); // 0.5*30 + 0.5*10 = 20
-    EXPECT_EQ(m.holdOf("c"), msec(20));
-    m.noteHold("c", msec(20)); // converged
-    EXPECT_EQ(m.holdOf("c"), msec(20));
+    m.noteHold("c", msec(30)); // 0.2*30 + 0.8*10 = 14
+    EXPECT_EQ(m.holdOf("c"), msec(14));
+    m.noteHold("c", msec(14)); // converged
+    EXPECT_EQ(m.holdOf("c"), msec(14));
 }
 
 TEST(SloHold, EwmaConvergesTowardRepeatedObservation)
 {
-    SloAdmission m(shedCfg(1.0, 0.2));
+    SloAdmission m(shedCfg());
     m.seedHold("c", msec(100));
     for (int i = 0; i < 64; ++i)
         m.noteHold("c", msec(10));
@@ -94,12 +97,12 @@ TEST(SloHold, EwmaConvergesTowardRepeatedObservation)
 
 TEST(SloDrain, FirstSampleTakenDirectlyThenSmoothed)
 {
-    SloAdmission m(shedCfg(1.0, 0.5));
+    SloAdmission m(shedCfg());
     EXPECT_DOUBLE_EQ(m.drainFactor(), 1.0); // unsampled default
     m.noteDrainRatio(0.4);
     EXPECT_DOUBLE_EQ(m.drainFactor(), 0.4); // first sample, no blend
-    m.noteDrainRatio(0.8); // 0.5*0.8 + 0.5*0.4
-    EXPECT_DOUBLE_EQ(m.drainFactor(), 0.6);
+    m.noteDrainRatio(0.8); // 0.2*0.8 + 0.8*0.4
+    EXPECT_DOUBLE_EQ(m.drainFactor(), 0.48);
 }
 
 TEST(SloDrain, RatioClampsIntoWorkingRange)

@@ -50,18 +50,6 @@ TEST(Process, StateTransitions)
     EXPECT_EQ(p.state(), Process::State::Done);
 }
 
-TEST(Process, OnDoneFires)
-{
-    EventQueue eq;
-    Process p(eq, "p");
-    bool fired = false;
-    p.onDone = [&](Process &) { fired = true; };
-    std::vector<Tick> wakeups;
-    p.start(sleeperBody(p, &wakeups, 1, 10));
-    eq.drain();
-    EXPECT_TRUE(fired);
-}
-
 /**
  * Suspends until an external agent calls resumeAt(), the protocol the
  * task layer's submission and completion awaitables follow.
