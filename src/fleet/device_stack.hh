@@ -50,7 +50,7 @@ class DeviceStack
     setScheduler(std::unique_ptr<Scheduler> s, Tick &vtime_cell)
     {
         sched = std::move(s);
-        auto *tap = dynamic_cast<VirtualTimeTap *>(sched.get());
+        VirtualTimeTap *tap = sched->vtimeTap();
         if (tap)
             tap->publishTo(&vtime_cell);
         vtimeTap = tap;

@@ -56,12 +56,17 @@ class Arbiter
     Channel *
     pick()
     {
+        // One pass from the cursor, wrapping at the end: no division
+        // on the dispatch path.
         const std::size_t n = rotation.size();
+        std::size_t i = cursor;
         for (std::size_t step = 0; step < n; ++step) {
-            Channel *c = rotation[(cursor + step) % n];
+            Channel *c = rotation[i];
+            if (++i == n)
+                i = 0;
             if (c->ring().empty())
                 continue;
-            cursor = (cursor + step + 1) % n;
+            cursor = i;
             return c;
         }
         return nullptr;
@@ -69,6 +74,7 @@ class Arbiter
 
   private:
     std::vector<Channel *> rotation;
+    /** Where the next pick starts; below rotation.size() unless empty. */
     std::size_t cursor = 0;
 };
 

@@ -106,10 +106,12 @@ makeScheduler(const ExperimentConfig &cfg, KernelModule &kernel,
         sched =
             std::make_unique<DisengagedTimeslice>(kernel, cfg.timeslice);
         break;
-      case SchedKind::DisengagedFq:
-        sched =
-            std::make_unique<DisengagedFairQueueing>(kernel, cfg.dfq);
+      case SchedKind::DisengagedFq: {
+        auto dfq = std::make_unique<DisengagedFairQueueing>(kernel, cfg.dfq);
+        dfq->setVendorCounters(vendor_counters); // DeviceCounters mode
+        sched = std::move(dfq);
         break;
+      }
       case SchedKind::EngagedFq:
         sched =
             std::make_unique<EngagedFairQueueing>(kernel, cfg.engagedFq);
@@ -117,8 +119,6 @@ makeScheduler(const ExperimentConfig &cfg, KernelModule &kernel,
     }
     if (!sched)
         panic("unknown scheduler kind");
-    if (auto *dfq = dynamic_cast<DisengagedFairQueueing *>(sched.get()))
-        dfq->setVendorCounters(vendor_counters); // DeviceCounters mode
     return sched;
 }
 

@@ -1,7 +1,9 @@
 #include "obs/audit.hh"
 
 #include <sstream>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "fault/fault_config.hh"
 #include "fleet/fleet_manager.hh"
@@ -70,33 +72,6 @@ Auditor::addFinal(std::string name, Check fn)
 }
 
 void
-Auditor::addMonotone(const std::string &name, std::function<double()> probe)
-{
-    // The closure owns both the watched probe and the last observation;
-    // the check name must outlive calls, so it rides in the closure too.
-    struct Watch
-    {
-        std::string name;
-        std::function<double()> probe;
-        double last = 0.0;
-        bool seen = false;
-    };
-    auto w = std::make_shared<Watch>();
-    w->name = name;
-    w->probe = std::move(probe);
-    addPeriodic(name, [w](AuditLog &log, Tick now) {
-        const double v = w->probe();
-        if (w->seen) {
-            log.check(v >= w->last, w->name.c_str(), now,
-                      static_cast<std::int64_t>(w->last),
-                      static_cast<std::int64_t>(v));
-        }
-        w->last = v;
-        w->seen = true;
-    });
-}
-
-void
 Auditor::start()
 {
     if (started)
@@ -127,22 +102,65 @@ Auditor::finalize()
         f.second(log_, eq.now());
 }
 
+namespace
+{
+
+/** Check that @p value did not fall below @p last; name it on failure. */
+void
+checkNonDecreasing(AuditLog &log, std::size_t device, const char *suffix,
+                   Tick now, Tick last, Tick value)
+{
+    if (value >= last) [[likely]] {
+        log.check(true, suffix, now);
+        return;
+    }
+    std::string name = "dev";
+    name += std::to_string(device);
+    name += suffix;
+    log.check(false, name.c_str(), now, last, value);
+}
+
+} // namespace
+
 void
 registerFleetAudits(Auditor &a, FleetManager &fleet,
                     const WatchdogConfig *wd)
 {
-    const std::vector<Tick> &vtimes = fleet.publishedVtimes();
-    for (std::size_t i = 0; i < fleet.deviceCount(); ++i) {
-        const std::string dev = "dev" + std::to_string(i);
-        if (vtimes[i] != FleetManager::noVtime) {
-            a.addMonotone(dev + ".vtime_monotone", [&vtimes, i] {
-                return static_cast<double>(vtimes[i]);
-            });
-        }
-        a.addMonotone(dev + ".busy_monotone", [&fleet, i] {
-            return static_cast<double>(fleet.stack(i).meter.totalBusy());
+    // Per-device monotonicity in one dense pass: each device's
+    // published system virtual time (devices whose cell held one at
+    // registration) and its meter's busy total must never fall between
+    // two periodic observations; the first observation only records.
+    struct Last
+    {
+        Tick vtime;
+        Tick busy;
+        bool tapped;
+    };
+    std::vector<Last> devices;
+    devices.reserve(fleet.deviceCount());
+    for (const Tick v : fleet.publishedVtimes())
+        devices.push_back({0, 0, v != FleetManager::noVtime});
+    a.addPeriodic(
+        "fleet.monotone",
+        [&fleet, devices = std::move(devices),
+         primed = false](AuditLog &log, Tick now) mutable {
+            const std::vector<Tick> &vtimes = fleet.publishedVtimes();
+            for (std::size_t i = 0; i < devices.size(); ++i) {
+                Last &d = devices[i];
+                if (d.tapped) {
+                    if (primed)
+                        checkNonDecreasing(log, i, ".vtime_monotone", now,
+                                           d.vtime, vtimes[i]);
+                    d.vtime = vtimes[i];
+                }
+                const Tick busy = fleet.stack(i).meter.totalBusy();
+                if (primed)
+                    checkNonDecreasing(log, i, ".busy_monotone", now,
+                                       d.busy, busy);
+                d.busy = busy;
+            }
+            primed = true;
         });
-    }
 
     if (wd && wd->enabled) {
         // The watchdog convicts on scan boundaries: a hang that starts

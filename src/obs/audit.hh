@@ -83,7 +83,10 @@ class AuditLog
     /** Violation samples retained for diagnostics (counts never cap). */
     static constexpr std::size_t maxSamples = 8;
 
-    /** Evaluate one invariant; @p name must be a literal/stable string. */
+    /**
+     * Evaluate one invariant. A failing check copies @p name, so it
+     * need only live for the call.
+     */
     void
     check(bool ok, const char *name, Tick when, std::int64_t expected = 0,
           std::int64_t actual = 0)
@@ -111,12 +114,11 @@ class AuditLog
 
 /**
  * Drives registered checks against one world's EventQueue: periodic
- * checks every AuditConfig::period of virtual time, monotonicity
- * watches (a probed value must never decrease between observations),
- * and final checks run once at finalize(). All checks are read-only
- * observers of simulation state; in sharded runs the periodic event
- * executes on the control queue at window barriers, where reading
- * shard state is safe.
+ * checks every AuditConfig::period of virtual time, and final checks
+ * run once at finalize(). All checks are read-only observers of
+ * simulation state; in sharded runs the periodic event executes on
+ * the control queue at window barriers, where reading shard state is
+ * safe.
  */
 class Auditor
 {
@@ -134,9 +136,6 @@ class Auditor
 
     /** Run @p fn once, at finalize. */
     void addFinal(std::string name, Check fn);
-
-    /** Watch @p probe: its value must never decrease. */
-    void addMonotone(const std::string &name, std::function<double()> probe);
 
     /** Arm the periodic cadence. */
     void start();
@@ -163,10 +162,12 @@ class Auditor
 
 /**
  * Register the standard fleet invariants: per-device scheduler vtime
- * monotonicity (fair-queueing policies only), per-device meter busy
- * monotonicity, and — when @p wd is given — the watchdog
- * detection-latency bound (kill latency <= timeout + 2 x checkPeriod)
- * as a final check over the fleet's kill log.
+ * monotonicity (devN.vtime_monotone, for devices whose policy
+ * publishes a virtual time) and meter busy monotonicity
+ * (devN.busy_monotone), both in one periodic pass over the fleet's
+ * vtime cells and device meters, and — when @p wd is given — the
+ * watchdog detection-latency bound (kill latency <= timeout + 2 x
+ * checkPeriod) as a final check over the fleet's kill log.
  */
 void registerFleetAudits(Auditor &a, FleetManager &fleet,
                          const WatchdogConfig *wd = nullptr);

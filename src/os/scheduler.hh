@@ -20,6 +20,7 @@ namespace neon
 class Channel;
 class KernelModule;
 class Task;
+class VirtualTimeTap;
 
 /** What to do with an intercepted submission. */
 enum class FaultDecision
@@ -64,6 +65,12 @@ class Scheduler
 
     /** Polling-service tick. */
     virtual void onPoll(Tick now) { (void)now; }
+
+    /**
+     * The policy's virtual-time tap (sched/vtime_tap.hh), or nullptr
+     * if it keeps no virtual time.
+     */
+    virtual VirtualTimeTap *vtimeTap() { return nullptr; }
 
   protected:
     KernelModule &kernel;

@@ -107,6 +107,7 @@ class DisengagedFairQueueing : public Scheduler, public VirtualTimeTap
     Tick vtimeOf(int pid) const;
 
     // VirtualTimeTap (cross-device aggregation).
+    VirtualTimeTap *vtimeTap() override { return this; }
     Tick tapSystemVtime() const override { return sysVtime; }
     Tick tapTaskVtime(int pid) const override { return vtimeOf(pid); }
     bool isDenied(int pid) const;

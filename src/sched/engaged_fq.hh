@@ -63,6 +63,7 @@ class EngagedFairQueueing : public Scheduler, public VirtualTimeTap
 
     // VirtualTimeTap (cross-device aggregation); a task's vtime is its
     // finish tag.
+    VirtualTimeTap *vtimeTap() override { return this; }
     Tick tapSystemVtime() const override { return sysV; }
     Tick tapTaskVtime(int pid) const override;
 

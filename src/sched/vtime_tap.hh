@@ -6,8 +6,9 @@
  * fleet-level fairness metrics) needs each device's notion of system
  * virtual time and per-task progress without caring which concrete
  * fair-queueing policy runs there. Policies that maintain virtual
- * times implement this interface alongside Scheduler; consumers
- * discover it with a dynamic_cast at wiring time.
+ * times implement this interface alongside Scheduler and return
+ * themselves from Scheduler::vtimeTap(), which is how the device stack
+ * finds the tap at wiring time.
  *
  * The tap is strictly observational: it exposes estimates the policy
  * already maintains (the paper's point is that the OS has no ground

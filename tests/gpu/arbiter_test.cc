@@ -1,12 +1,20 @@
 /**
  * @file
  * Unit tests for round-robin arbitration: one request per channel
- * visit, whatever the channel's class or queue depth.
+ * visit, whatever the channel's class or queue depth. A differential
+ * test drives the arbiter and the modulo-indexed picker it replaced
+ * through the same random register, remove, fill and pick sequences.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <deque>
 #include <map>
+#include <memory>
+#include <random>
+#include <vector>
 
 #include "gpu/arbiter.hh"
 #include "gpu/context.hh"
@@ -140,6 +148,106 @@ TEST_F(ArbiterFixture, RemoveChannelKeepsRotationConsistent)
     EXPECT_EQ(arb.channelCount(), 2u);
     a.ring().pop();
     EXPECT_EQ(arb.pick(), &c);
+}
+
+/** The modulo-indexed round-robin picker, kept as the oracle. */
+class ModuloArbiter
+{
+  public:
+    void registerChannel(Channel *c) { rotation.push_back(c); }
+
+    void
+    removeChannel(Channel *c)
+    {
+        for (std::size_t i = 0; i < rotation.size(); ++i) {
+            if (rotation[i] == c) {
+                rotation.erase(rotation.begin() + i);
+                if (cursor > i)
+                    --cursor;
+                if (cursor >= rotation.size())
+                    cursor = 0;
+                return;
+            }
+        }
+    }
+
+    Channel *
+    pick()
+    {
+        const std::size_t n = rotation.size();
+        for (std::size_t step = 0; step < n; ++step) {
+            Channel *c = rotation[(cursor + step) % n];
+            if (c->ring().empty())
+                continue;
+            cursor = (cursor + step + 1) % n;
+            return c;
+        }
+        return nullptr;
+    }
+
+  private:
+    std::vector<Channel *> rotation;
+    std::size_t cursor = 0;
+};
+
+TEST_F(ArbiterFixture, PickOrderMatchesModuloOracle)
+{
+    constexpr int kChannels = 9;
+    std::deque<Channel> pool;
+    for (int id = 0; id < kChannels; ++id)
+        pool.emplace_back(id, id % 2 ? ctxA : ctxB, RequestClass::Compute,
+                          16);
+
+    std::size_t picks = 0, hits = 0;
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        std::mt19937_64 rng(seed);
+        Arbiter arb;
+        ModuloArbiter oracle;
+        std::vector<Channel *> registered;
+        for (Channel &c : pool) {
+            while (!c.ring().empty())
+                c.ring().pop();
+        }
+
+        for (int op = 0; op < 2000; ++op) {
+            Channel &c = pool[rng() % kChannels];
+            const bool in = std::find(registered.begin(), registered.end(),
+                                      &c) != registered.end();
+            switch (rng() % 6) {
+              case 0: // register (a removed channel may come back)
+                if (!in) {
+                    arb.registerChannel(&c);
+                    oracle.registerChannel(&c);
+                    registered.push_back(&c);
+                }
+                break;
+              case 1: // remove, registered or not
+                arb.removeChannel(&c);
+                oracle.removeChannel(&c);
+                std::erase(registered, &c);
+                break;
+              case 2: // give a channel work
+                if (!c.ring().full())
+                    c.ring().push(req(c.allocRef()));
+                break;
+              default: { // pick, and serve the winner's request
+                Channel *got = arb.pick();
+                ASSERT_EQ(got, oracle.pick())
+                    << "seed " << seed << ", operation " << op;
+                ++picks;
+                if (got) {
+                    ++hits;
+                    got->ring().pop();
+                }
+                break;
+              }
+            }
+            ASSERT_EQ(arb.channelCount(), registered.size());
+        }
+    }
+    // Both outcomes are exercised: idle rotations and real winners.
+    EXPECT_GT(hits, picks / 4);
+    EXPECT_LT(hits, picks);
 }
 
 } // namespace

@@ -2,20 +2,29 @@
  * @file
  * The invariant auditor: the AuditLog hot path counts every check and
  * records violations per name with capped samples; the Auditor drives
- * periodic/monotone/final checks on the virtual-time cadence and
- * actually detects seeded violations; and the default-on auditor
- * reports clean on healthy closed and open-system runs (the always-on
- * acceptance the examples rely on).
+ * periodic/final checks on the virtual-time cadence and actually
+ * detects seeded violations; the fleet's monotonicity pass evaluates
+ * one vtime check per device whose policy publishes a virtual time
+ * and one busy check per device, and names a seeded fall after its
+ * device (the 'Shard' case on the parallel core, where shard threads
+ * write the vtime cells); and the default-on auditor reports clean on
+ * healthy closed and open-system runs (the always-on acceptance the
+ * examples rely on).
  */
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "harness/serve_runner.hh"
 #include "obs/audit.hh"
+#include "sched/vtime_tap.hh"
 #include "sim/event_queue.hh"
+#include "sim/sharded_engine.hh"
+#include "workload/throttle.hh"
 
 namespace neon
 {
@@ -23,6 +32,109 @@ namespace
 {
 
 using namespace obs;
+
+/** A fleet built by a test factory, audited from its control queue. */
+struct AuditedFleet
+{
+    AuditedFleet(const ExperimentConfig &config,
+                 const SchedulerFactory &make)
+        : cfg(config), shardCore(cfg.shards, eq, cfg.fleet.devices),
+          fleet(shardCore, cfg.fleet, cfg.device, cfg.costs,
+                cfg.channelPolicy, cfg.pollPeriod, make),
+          auditor(eq)
+    {
+    }
+
+    void
+    start()
+    {
+        fleet.start();
+        auditor.start();
+    }
+
+    void runFor(Tick d) { shardCore.runFor(d); }
+
+    ExperimentConfig cfg;
+    EventQueue eq;
+    ShardedEngine shardCore;
+    FleetManager fleet;
+    Auditor auditor;
+};
+
+/**
+ * Ramp devices poll every 7 ms, so no poll shares a tick with an
+ * audit pass (every 10 ms, and at finalize on a 5-ms boundary).
+ */
+constexpr Tick kRampPoll = msec(7);
+constexpr Tick kRampTop = sec(1);
+
+/** The vtime a ramp device publishes at its last poll by @p t. */
+Tick
+rampAt(Tick t, bool falling)
+{
+    const Tick polled = t - t % kRampPoll;
+    return falling ? kRampTop - polled : polled;
+}
+
+/**
+ * Publishes a system virtual time at each poll that rises with time,
+ * or on a falling device, falls.
+ */
+class RampScheduler : public Scheduler, public VirtualTimeTap
+{
+  public:
+    RampScheduler(KernelModule &kernel, bool falling)
+        : Scheduler(kernel), falling(falling)
+    {
+    }
+
+    FaultDecision
+    onSubmitFault(Task &, Channel &, const GpuRequest &) override
+    {
+        return FaultDecision::Allow;
+    }
+
+    void
+    onPoll(Tick now) override
+    {
+        vtime = rampAt(now, falling);
+        publishSystemVtime(vtime);
+    }
+
+    VirtualTimeTap *vtimeTap() override { return this; }
+    Tick tapSystemVtime() const override { return vtime; }
+    Tick tapTaskVtime(int) const override { return 0; }
+
+  private:
+    const bool falling;
+    Tick vtime = rampAt(0, falling);
+};
+
+/** No ramp device falls. */
+constexpr std::size_t kNoFall = ~std::size_t{0};
+
+/** Ramp devices; the one at index @p falling falls. */
+SchedulerFactory
+rampFactory(std::size_t falling)
+{
+    return [falling](KernelModule &kernel, const UsageMeter &,
+                     std::size_t device) -> std::unique_ptr<Scheduler> {
+        return std::make_unique<RampScheduler>(kernel, device == falling);
+    };
+}
+
+/** @p devices ramp devices on @p shards shards (0 = serial). */
+ExperimentConfig
+rampConfig(std::size_t devices, unsigned shards)
+{
+    ExperimentConfig cfg;
+    cfg.fleet.devices = devices;
+    cfg.pollPeriod = kRampPoll;
+    cfg.shards.count = shards;
+    cfg.shards.threads = shards;
+    cfg.shards.window = msec(1);
+    return cfg;
+}
 
 TEST(AuditLog, CountsChecksAndCapsSamples)
 {
@@ -76,11 +188,12 @@ TEST(AuditLog, CleanReportAfterPassingChecks)
 TEST(Auditor, PeriodicCadenceAndSeededViolations)
 {
     static_assert(AuditConfig::period == msec(10));
-    EventQueue eq;
-    Auditor a(eq);
+    AuditedFleet f(rampConfig(2, 0), rampFactory(1));
+    Auditor &a = f.auditor;
 
-    // A passing periodic check, a failing one, a decreasing monotone
-    // probe, and a final check that only runs at finalize.
+    // A passing periodic check, a failing one, the fleet's
+    // monotonicity pass over a device whose vtime falls, and a final
+    // check that only runs at finalize.
     int periodic_runs = 0;
     a.addPeriodic("ok", [&](AuditLog &log, Tick now) {
         ++periodic_runs;
@@ -89,16 +202,15 @@ TEST(Auditor, PeriodicCadenceAndSeededViolations)
     a.addPeriodic("seeded", [](AuditLog &log, Tick now) {
         log.check(false, "seeded", now, 1, 0);
     });
-    double probe_value = 100.0;
-    a.addMonotone("shrinking", [&] { return probe_value -= 1.0; });
+    registerFleetAudits(a, f.fleet);
     int final_runs = 0;
     a.addFinal("final_only", [&](AuditLog &log, Tick now) {
         ++final_runs;
         log.check(true, "final_only", now);
     });
 
-    a.start();
-    eq.runFor(msec(45)); // boundaries at 10, 20, 30, 40
+    f.start();
+    f.runFor(msec(45)); // boundaries at 10, 20, 30, 40
     EXPECT_EQ(final_runs, 0);
     a.finalize();
 
@@ -108,16 +220,17 @@ TEST(Auditor, PeriodicCadenceAndSeededViolations)
 
     const AuditReport r = a.report();
     EXPECT_FALSE(r.clean());
-    std::uint64_t seeded = 0, shrinking = 0;
+    std::uint64_t seeded = 0, falling = 0;
     for (const auto &kv : r.byCheck) {
         if (kv.first == "seeded")
             seeded = kv.second;
-        if (kv.first == "shrinking")
-            shrinking = kv.second;
+        if (kv.first == "dev1.vtime_monotone")
+            falling = kv.second;
     }
     EXPECT_EQ(seeded, 5u);
     // Every observation after the first sees a smaller value.
-    EXPECT_GE(shrinking, 4u);
+    EXPECT_EQ(falling, 4u);
+    EXPECT_EQ(r.violations, seeded + falling) << r.summary();
 
     // finalize is idempotent: no further checks accrue.
     const std::uint64_t checks = r.checks;
@@ -127,16 +240,104 @@ TEST(Auditor, PeriodicCadenceAndSeededViolations)
 
 TEST(Auditor, MonotoneProbePassesWhenNonDecreasing)
 {
-    EventQueue eq;
-    Auditor a(eq);
-    double v = 0.0;
-    a.addMonotone("growing", [&] { return v += 2.0; });
-    a.start();
-    eq.runFor(msec(60));
-    a.finalize();
-    const AuditReport r = a.report();
+    // Every vtime rises; the idle meters hold their busy totals.
+    AuditedFleet f(rampConfig(2, 0), rampFactory(kNoFall));
+    registerFleetAudits(f.auditor, f.fleet);
+    f.start();
+    f.runFor(msec(60));
+    f.auditor.finalize();
+    const AuditReport r = f.auditor.report();
     EXPECT_TRUE(r.clean()) << r.summary();
     EXPECT_GT(r.checks, 0u);
+}
+
+/** A loaded 4-device @p sched fleet: one throttle task per device. */
+void
+expectOneCheckPerTapAndDevice(SchedKind sched, std::size_t tapped)
+{
+    constexpr std::size_t devices = 4;
+    ExperimentConfig cfg;
+    cfg.sched = sched;
+    cfg.fleet.devices = devices;
+    AuditedFleet f(cfg, [&cfg](KernelModule &kernel,
+                               const UsageMeter &meter, std::size_t) {
+        return makeScheduler(cfg, kernel, &meter);
+    });
+    for (std::size_t d = 0; d < devices; ++d) {
+        Task &t = f.fleet.createTaskOn(d, {"load", "", 1.0});
+        f.fleet.startTask(t, throttleBody(t, {usec(300), 0.2}, d + 1));
+    }
+    registerFleetAudits(f.auditor, f.fleet);
+    f.start();
+
+    const std::uint64_t perPass = tapped + devices;
+    f.runFor(msec(5));
+    EXPECT_EQ(f.auditor.report().checks, 0u);
+    for (std::uint64_t tick = 1; tick <= 6; ++tick) {
+        f.runFor(msec(10)); // past the pass at tick x 10 ms
+        EXPECT_EQ(f.auditor.report().checks, (tick - 1) * perPass)
+            << "after pass " << tick;
+    }
+    f.auditor.finalize();
+    const AuditReport r = f.auditor.report();
+    EXPECT_EQ(r.checks, 6 * perPass);
+    EXPECT_TRUE(r.clean()) << r.summary();
+    EXPECT_GT(f.fleet.totalBusy(), 0);
+}
+
+TEST(FleetAudit, DfqFleetChecksVtimeAndBusyPerDevice)
+{
+    expectOneCheckPerTapAndDevice(SchedKind::DisengagedFq, 4);
+}
+
+TEST(FleetAudit, TimesliceFleetChecksBusyOnly)
+{
+    // Timeslice keeps no virtual time: its cells stay unset.
+    expectOneCheckPerTapAndDevice(SchedKind::Timeslice, 0);
+}
+
+/**
+ * Six ramp devices on @p shards shards, device 4 falling: only its
+ * vtime check fails, once per pass after the first, and each sample
+ * holds the previous and the current observation.
+ */
+void
+expectSeededFallNamedAndSampled(unsigned shards)
+{
+    constexpr std::size_t devices = 6;
+    constexpr std::size_t falling = 4;
+    AuditedFleet f(rampConfig(devices, shards), rampFactory(falling));
+    registerFleetAudits(f.auditor, f.fleet);
+    f.start();
+    f.runFor(msec(45)); // passes at 10, 20, 30 and 40 ms
+    f.auditor.finalize(); // and at 45 ms
+
+    const AuditReport r = f.auditor.report();
+    EXPECT_EQ(r.checks, 4 * 2 * devices);
+    EXPECT_EQ(r.violations, 4u);
+    ASSERT_EQ(r.byCheck.size(), 1u) << r.summary();
+    EXPECT_EQ(r.byCheck[0].first, "dev4.vtime_monotone");
+    EXPECT_EQ(r.byCheck[0].second, 4u);
+
+    const Tick passes[] = {msec(10), msec(20), msec(30), msec(40), msec(45)};
+    ASSERT_EQ(r.samples.size(), 4u);
+    for (std::size_t k = 0; k < r.samples.size(); ++k) {
+        const AuditViolation &v = r.samples[k];
+        EXPECT_EQ(v.check, "dev4.vtime_monotone");
+        EXPECT_EQ(v.when, passes[k + 1]);
+        EXPECT_EQ(v.expected, rampAt(passes[k], true)) << "sample " << k;
+        EXPECT_EQ(v.actual, rampAt(passes[k + 1], true)) << "sample " << k;
+    }
+}
+
+TEST(FleetAudit, SeededVtimeFallIsNamedAndSampled)
+{
+    expectSeededFallNamedAndSampled(0);
+}
+
+TEST(FleetAudit, ShardedSeededVtimeFallIsNamedAndSampled)
+{
+    expectSeededFallNamedAndSampled(3);
 }
 
 TEST(Audit, ClosedWorldRunsCleanByDefault)

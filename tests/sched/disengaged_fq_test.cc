@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <typeinfo>
+
 #include "harness/experiment.hh"
 #include "sched/disengaged_fq.hh"
 #include "workload/adversary.hh"
@@ -24,6 +26,15 @@ dfqConfig()
     return cfg;
 }
 
+/** Device 0's policy, which dfqConfig() makes DFQ. */
+const DisengagedFairQueueing &
+dfqOf(World &world)
+{
+    const Scheduler &s = *world.fleet.stack(0).sched;
+    EXPECT_EQ(typeid(s), typeid(DisengagedFairQueueing));
+    return static_cast<const DisengagedFairQueueing &>(s);
+}
+
 TEST(DisengagedFq, EpisodesCycleThroughPhases)
 {
     ExperimentConfig cfg = dfqConfig();
@@ -32,13 +43,10 @@ TEST(DisengagedFq, EpisodesCycleThroughPhases)
     world.start();
     world.runFor(msec(400));
 
-    auto *dfq =
-        dynamic_cast<DisengagedFairQueueing *>(
-            world.fleet.stack(0).sched.get());
-    ASSERT_NE(dfq, nullptr);
+    const DisengagedFairQueueing &dfq = dfqOf(world);
     // ~25ms free run + short episode: several episodes in 400ms.
-    EXPECT_GE(dfq->episodes(), 8u);
-    EXPECT_LE(dfq->episodes(), 20u);
+    EXPECT_GE(dfq.episodes(), 8u);
+    EXPECT_LE(dfq.episodes(), 20u);
 }
 
 TEST(DisengagedFq, StandaloneFreeRunIs25Ms)
@@ -49,10 +57,8 @@ TEST(DisengagedFq, StandaloneFreeRunIs25Ms)
     world.start();
     world.runFor(msec(400));
 
-    auto *dfq =
-        dynamic_cast<DisengagedFairQueueing *>(
-            world.fleet.stack(0).sched.get());
-    EXPECT_EQ(dfq->currentFreeRun(), msec(25));
+    const DisengagedFairQueueing &dfq = dfqOf(world);
+    EXPECT_EQ(dfq.currentFreeRun(), msec(25));
 }
 
 TEST(DisengagedFq, PairFreeRunIs50Ms)
@@ -64,10 +70,8 @@ TEST(DisengagedFq, PairFreeRunIs50Ms)
     world.start();
     world.runFor(msec(400));
 
-    auto *dfq =
-        dynamic_cast<DisengagedFairQueueing *>(
-            world.fleet.stack(0).sched.get());
-    EXPECT_EQ(dfq->currentFreeRun(), msec(50));
+    const DisengagedFairQueueing &dfq = dfqOf(world);
+    EXPECT_EQ(dfq.currentFreeRun(), msec(50));
 }
 
 TEST(DisengagedFq, SamplingEstimatesRequestSize)
@@ -78,10 +82,8 @@ TEST(DisengagedFq, SamplingEstimatesRequestSize)
     world.start();
     world.runFor(msec(400));
 
-    auto *dfq =
-        dynamic_cast<DisengagedFairQueueing *>(
-            world.fleet.stack(0).sched.get());
-    EXPECT_NEAR(toUsec(dfq->estSizeOf(t.pid())), 100.0, 10.0);
+    const DisengagedFairQueueing &dfq = dfqOf(world);
+    EXPECT_NEAR(toUsec(dfq.estSizeOf(t.pid())), 100.0, 10.0);
 }
 
 TEST(DisengagedFq, SamplingEstimatesDutyCycle)
@@ -93,11 +95,9 @@ TEST(DisengagedFq, SamplingEstimatesDutyCycle)
     world.start();
     world.runFor(sec(1));
 
-    auto *dfq =
-        dynamic_cast<DisengagedFairQueueing *>(
-            world.fleet.stack(0).sched.get());
-    EXPECT_GT(dfq->dutyOf(busy.pid()), 0.85);
-    EXPECT_LT(dfq->dutyOf(lazy.pid()), 0.5);
+    const DisengagedFairQueueing &dfq = dfqOf(world);
+    EXPECT_GT(dfq.dutyOf(busy.pid()), 0.85);
+    EXPECT_LT(dfq.dutyOf(lazy.pid()), 0.5);
 }
 
 TEST(DisengagedFq, MostSubmissionsAreDirect)
@@ -123,19 +123,17 @@ TEST(DisengagedFq, VirtualTimesEqualizeUnderContention)
     world.start();
     world.runFor(sec(3));
 
-    auto *dfq =
-        dynamic_cast<DisengagedFairQueueing *>(
-            world.fleet.stack(0).sched.get());
-    const double vt_s = toMsec(dfq->vtimeOf(small.pid()));
-    const double vt_l = toMsec(dfq->vtimeOf(large.pid()));
+    const DisengagedFairQueueing &dfq = dfqOf(world);
+    const double vt_s = toMsec(dfq.vtimeOf(small.pid()));
+    const double vt_l = toMsec(dfq.vtimeOf(large.pid()));
 
     // Imbalance is bounded by roughly the inter-engagement interval
     // plus one interval of estimation error.
     EXPECT_LT(std::abs(vt_s - vt_l),
-              2.5 * toMsec(dfq->currentFreeRun()));
+              2.5 * toMsec(dfq.currentFreeRun()));
 
     // And both virtual times moved far beyond that bound.
-    EXPECT_GT(vt_s, 4 * toMsec(dfq->currentFreeRun()));
+    EXPECT_GT(vt_s, 4 * toMsec(dfq.currentFreeRun()));
 }
 
 TEST(DisengagedFq, AheadTaskGetsDeniedEventually)
@@ -148,13 +146,11 @@ TEST(DisengagedFq, AheadTaskGetsDeniedEventually)
 
     bool large_denied = false;
     bool small_denied = false;
-    auto *dfq =
-        dynamic_cast<DisengagedFairQueueing *>(
-            world.fleet.stack(0).sched.get());
+    const DisengagedFairQueueing &dfq = dfqOf(world);
     for (int i = 0; i < 200; ++i) {
         world.runFor(msec(10));
-        large_denied |= dfq->isDenied(large.pid());
-        small_denied |= dfq->isDenied(small.pid());
+        large_denied |= dfq.isDenied(large.pid());
+        small_denied |= dfq.isDenied(small.pid());
     }
 
     EXPECT_TRUE(large_denied);
@@ -207,18 +203,16 @@ TEST(DisengagedFq, SleeperDoesNotBankCredit)
     world.start();
     world.runFor(sec(1));
 
-    auto *dfq =
-        dynamic_cast<DisengagedFairQueueing *>(
-            world.fleet.stack(0).sched.get());
+    const DisengagedFairQueueing &dfq = dfqOf(world);
     // Both contended from the start here; the invariant to check is
     // that nobody's virtual time sits below the system virtual time by
     // more than an interval (no banked credit).
-    EXPECT_GE(toMsec(dfq->vtimeOf(busy.pid())),
-              toMsec(dfq->tapSystemVtime()) -
-                  2.0 * toMsec(dfq->currentFreeRun()));
-    EXPECT_GE(toMsec(dfq->vtimeOf(late.pid())),
-              toMsec(dfq->tapSystemVtime()) -
-                  2.0 * toMsec(dfq->currentFreeRun()));
+    EXPECT_GE(toMsec(dfq.vtimeOf(busy.pid())),
+              toMsec(dfq.tapSystemVtime()) -
+                  2.0 * toMsec(dfq.currentFreeRun()));
+    EXPECT_GE(toMsec(dfq.vtimeOf(late.pid())),
+              toMsec(dfq.tapSystemVtime()) -
+                  2.0 * toMsec(dfq.currentFreeRun()));
 }
 
 TEST(DisengagedFq, ProtectionKillsRunawayTask)

@@ -8,11 +8,15 @@
  * sessions (no placement or retirement in the window). The second
  * lets sessions churn, where each incarnation still allocates its
  * task, coroutine frame, channel, context and ring, and bounds the
- * allocations per session so that none is added per request.
+ * allocations per session so that none is added per request. The
+ * third bounds what building and starting a world allocates per
+ * device, so that no per-device closure or name creeps back into
+ * setup.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -45,6 +49,13 @@ guardConfig()
  * one more per session fails the test.
  */
 constexpr double kAllocationsPerSessionBound = 25.0;
+
+/**
+ * The setup test's bound on allocations per added device. When it was
+ * written a DFQ device cost 2.0 (its stack and its policy); the
+ * auditor's per-device closures and names had made it 12.0.
+ */
+constexpr double kSetupAllocationsPerDeviceBound = 3.0;
 
 WorkloadSpec
 throttleWork()
@@ -105,6 +116,35 @@ TEST(ServeAllocation, ChurnStaysWithinPerSessionBound)
         static_cast<double>(allocations) / static_cast<double>(sessions);
     EXPECT_LE(per_session, kAllocationsPerSessionBound)
         << allocations << " allocations over " << sessions << " sessions";
+}
+
+/** Allocations made building and starting a @p devices DFQ world. */
+std::uint64_t
+setupAllocations(std::size_t devices)
+{
+    ExperimentConfig cfg = guardConfig();
+    cfg.fleet.devices = devices;
+    const std::vector<ServeWorkloadSpec> specs = {
+        {throttleWork(), ArrivalSpec::poisson(400.0),
+         LifetimeSpec::fixed(msec(200))},
+    };
+    const std::uint64_t before = test::allocationCount();
+    ServeWorld world(cfg, specs);
+    EXPECT_NE(world.auditor, nullptr);
+    world.start();
+    return test::allocationCount() - before;
+}
+
+TEST(ServeAllocation, SetupAllocatesFewObjectsPerDevice)
+{
+    setupAllocations(16); // warm: one-time allocations land here
+    const std::uint64_t small = setupAllocations(16);
+    const std::uint64_t large = setupAllocations(64);
+    ASSERT_GT(large, small);
+    const double per_device = static_cast<double>(large - small) / 48.0;
+    EXPECT_LE(per_device, kSetupAllocationsPerDeviceBound)
+        << small << " allocations for 16 devices, " << large
+        << " for 64";
 }
 
 } // namespace
