@@ -11,16 +11,16 @@ namespace neon
 
 Watchdog::Watchdog(EventQueue &eq, KernelModule &kernel,
                    const WatchdogConfig &cfg, std::size_t device_index)
-    : eq(eq), kernel(kernel), cfg(cfg), device(device_index)
+    : eq(eq), kernel(kernel), cfg(cfg), device(device_index),
+      cadence(eq, cfg.checkPeriod, [this] { scan(); })
 {
 }
 
 void
 Watchdog::start()
 {
-    if (!cfg.enabled || cfg.checkPeriod <= 0)
-        return;
-    eq.scheduleIn(cfg.checkPeriod, [this] { scan(); });
+    if (cfg.enabled)
+        cadence.start();
 }
 
 bool
@@ -57,9 +57,6 @@ void
 Watchdog::scan()
 {
     ++nScans;
-    // Re-arm first: a kill below must not silence the service.
-    eq.scheduleIn(cfg.checkPeriod, [this] { scan(); });
-
     GpuDevice &dev = kernel.device();
     if (dev.health() != DeviceHealth::Up) {
         // A degraded/down device makes no progress by design; drop all
@@ -72,21 +69,22 @@ Watchdog::scan()
 
     // Hang pass: stamp the completed-reference counter of each channel
     // holding pending work. Stale stamps (idle or vanished channels)
-    // fall away because only re-seen channels enter the fresh map. The
+    // fall away because only re-seen channels enter the fresh map,
+    // which then swaps with the old one: both keep their capacity. The
     // kill happens after the scan — killTask tears channels out of the
     // active list we are iterating.
     int offender = -1;
     Tick offender_latency = 0;
-    std::map<int, Progress> fresh;
+    fresh.clear();
     for (const Channel *c : kernel.activeChannels()) {
         if (!c->busyOnDevice() && c->ring().empty())
             continue;
         const std::uint64_t ref = c->completedRef();
         Progress p{ref, now};
-        auto it = progress.find(c->id());
-        if (it != progress.end() && it->second.ref == ref)
-            p = it->second; // still stuck at the stamped value
-        fresh.emplace(c->id(), p);
+        const Progress *last = progress.find(c->id());
+        if (last && last->ref == ref)
+            p = *last; // still stuck at the stamped value
+        fresh[c->id()] = p;
 
         if (offender < 0 && now - p.since >= cfg.hangTimeout) {
             // Convict the engine's current occupant (the vendor-assisted
@@ -100,7 +98,7 @@ Watchdog::scan()
             }
         }
     }
-    progress = std::move(fresh);
+    std::swap(progress, fresh);
 
     bool killed = false;
     if (offender >= 0)

@@ -20,16 +20,16 @@
 #define NEON_FAULT_WATCHDOG_HH
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "fault/fault_config.hh"
+#include "sim/id_map.hh"
+#include "sim/periodic.hh"
 #include "sim/types.hh"
 
 namespace neon
 {
 
-class EventQueue;
 class KernelModule;
 
 /** Why the watchdog killed a task. */
@@ -83,7 +83,11 @@ class Watchdog
     WatchdogConfig cfg;
     std::size_t device;
 
-    std::map<int, Progress> progress; ///< keyed by channel id
+    Periodic cadence;
+
+    /** Stamps by channel id: the last scan's, and this scan's scratch. */
+    IdMap<Progress> progress;
+    IdMap<Progress> fresh;
     std::vector<WatchdogKill> log;
     std::uint64_t nHangKills = 0;
     std::uint64_t nRunawayKills = 0;

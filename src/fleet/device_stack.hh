@@ -32,10 +32,9 @@ class DeviceStack
                 const DeviceConfig &device_cfg, const CostModel &costs,
                 const ChannelPolicy &channel_policy, Tick poll_period)
         : index(index), device(eq, device_cfg, meter),
-          kernel(eq, device, costs, channel_policy)
+          kernel(eq, device, costs, channel_policy, poll_period)
     {
         device.setDeviceIndex(static_cast<int>(index));
-        kernel.polling().setPeriod(poll_period);
     }
 
     DeviceStack(const DeviceStack &) = delete;

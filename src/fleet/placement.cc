@@ -26,12 +26,6 @@ namespace
 
 constexpr std::size_t noExclusion = static_cast<std::size_t>(-1);
 
-/**
- * Index of the device minimizing busy time, tie-broken by live task
- * count and then by index. @p exclude names a device to skip (sticky
- * overflow must not spill back onto the over-capacity home device);
- * it is ignored when it would leave no candidates.
- */
 /** Any device currently up? (All-down fleets fall back to ignoring it.) */
 bool
 anyUp(const std::vector<DeviceLoadView> &devices)
@@ -43,6 +37,12 @@ anyUp(const std::vector<DeviceLoadView> &devices)
     return false;
 }
 
+/**
+ * Index of the device minimizing busy time, tie-broken by live task
+ * count and then by index. @p exclude names a device to skip (sticky
+ * overflow must not spill back onto the over-capacity home device);
+ * it is ignored when it would leave no candidates.
+ */
 std::size_t
 leastLoadedIndex(const std::vector<DeviceLoadView> &devices,
                  std::size_t exclude = noExclusion)
@@ -66,22 +66,9 @@ leastLoadedIndex(const std::vector<DeviceLoadView> &devices,
             best_tasks = tasks;
         }
     }
-    if (first) {
-        // Everything filtered (exclude + down): retry without exclusion.
-        for (const DeviceLoadView &d : devices) {
-            if (skip_down && !d.up)
-                continue;
-            const double busy = static_cast<double>(d.busyTime);
-            const double tasks = static_cast<double>(d.assignedTasks);
-            if (first || busy < best_busy ||
-                (busy == best_busy && tasks < best_tasks)) {
-                first = false;
-                best = d.index;
-                best_busy = busy;
-                best_tasks = tasks;
-            }
-        }
-    }
+    // Everything filtered (exclude + down): retry without exclusion.
+    if (first && exclude != noExclusion)
+        return leastLoadedIndex(devices);
     return best;
 }
 

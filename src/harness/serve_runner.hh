@@ -44,7 +44,7 @@ struct ServeWorkloadSpec
     /** QoS class (ordered/preempted only when cfg.serve.qos is on). */
     QosClass qos = QosClass::Batch;
 
-    /** Queue-delay budget override (0 = cfg.serve.slo.queueTarget). */
+    /** Queue-delay budget for shedding and goodput (0 = none). */
     Tick queueBudget = 0;
 
     ServeWorkloadSpec() = default;

@@ -281,7 +281,11 @@ formatPhaseReport(const PhaseReport &report)
 
 Analyzer::Analyzer(EventQueue &q, FleetManager &f, ServeEngine &e,
                    const AnalyzeConfig &c)
-    : eq(q), fleet(f), engine(e), cfg(c)
+    : eq(q), fleet(f), engine(e), cfg(c),
+      boundaries(q, c.window, [this] {
+          closeWindow(windowStart, eq.now());
+          windowStart = eq.now();
+      })
 {
     engine.addSessionListener(
         [this](const SessionEvent &ev) { onEvent(ev); });
@@ -301,23 +305,6 @@ Analyzer::onEvent(const SessionEvent &e)
     ++accum.goodputEligible;
     if (engine.meetsSlo(e.cls, s.arrived, s.admitted, e.when))
         ++accum.goodputMet;
-}
-
-void
-Analyzer::start()
-{
-    if (cfg.window > 0)
-        eq.scheduleIn(cfg.window, [this] { onBoundary(); });
-}
-
-void
-Analyzer::onBoundary()
-{
-    if (finalized)
-        return;
-    closeWindow(windowStart, eq.now());
-    windowStart = eq.now();
-    eq.scheduleIn(cfg.window, [this] { onBoundary(); });
 }
 
 void
@@ -391,6 +378,7 @@ Analyzer::finalize()
 {
     if (finalized)
         return;
+    boundaries.stop();
     if (cfg.phases)
         tracker.finalize(eq.now());
     if (cfg.window > 0 && (eq.now() > windowStart || windows.empty()))

@@ -32,11 +32,11 @@
 
 #include "obs/trace.hh"
 #include "serve/serve_engine.hh"
+#include "sim/periodic.hh"
 
 namespace neon
 {
 
-class EventQueue;
 class FleetManager;
 
 namespace obs
@@ -223,11 +223,12 @@ class Analyzer
     Analyzer &operator=(const Analyzer &) = delete;
 
     /** Arm the window cadence (no-op when cfg.window == 0). */
-    void start();
+    void start() { boundaries.start(); }
 
     /**
-     * Close the tracker at the current virtual time and flush the
-     * final (possibly partial) window. Idempotent.
+     * Stop the window cadence, close the tracker at the current
+     * virtual time and flush the final (possibly partial) window.
+     * Idempotent.
      */
     void finalize();
 
@@ -246,13 +247,13 @@ class Analyzer
 
   private:
     void onEvent(const SessionEvent &e);
-    void onBoundary();
     void closeWindow(Tick ws, Tick we);
 
     EventQueue &eq;
     FleetManager &fleet;
     ServeEngine &engine;
     AnalyzeConfig cfg;
+    Periodic boundaries; ///< closes a window every cfg.window
 
     PhaseTracker tracker;
     std::vector<WindowStats> windows;

@@ -60,34 +60,10 @@ AuditLog::recordViolation(const char *name, Tick when, std::int64_t expected,
 }
 
 void
-Auditor::addPeriodic(std::string name, Check fn)
+Auditor::runPeriodic()
 {
-    periodic.emplace_back(std::move(name), std::move(fn));
-}
-
-void
-Auditor::addFinal(std::string name, Check fn)
-{
-    finals.emplace_back(std::move(name), std::move(fn));
-}
-
-void
-Auditor::start()
-{
-    if (started)
-        return;
-    started = true;
-    eq.scheduleIn(AuditConfig::period, [this] { tick(); });
-}
-
-void
-Auditor::tick()
-{
-    if (finalized)
-        return;
-    for (auto &p : periodic)
-        p.second(log_, eq.now());
-    eq.scheduleIn(AuditConfig::period, [this] { tick(); });
+    for (Check &c : periodic)
+        c(log_, eq.now());
 }
 
 void
@@ -96,10 +72,10 @@ Auditor::finalize()
     if (finalized)
         return;
     finalized = true;
-    for (auto &p : periodic)
-        p.second(log_, eq.now());
-    for (auto &f : finals)
-        f.second(log_, eq.now());
+    cadence.stop();
+    runPeriodic();
+    for (Check &c : finals)
+        c(log_, eq.now());
 }
 
 namespace
@@ -141,7 +117,6 @@ registerFleetAudits(Auditor &a, FleetManager &fleet,
     for (const Tick v : fleet.publishedVtimes())
         devices.push_back({0, 0, v != FleetManager::noVtime});
     a.addPeriodic(
-        "fleet.monotone",
         [&fleet, devices = std::move(devices),
          primed = false](AuditLog &log, Tick now) mutable {
             const std::vector<Tick> &vtimes = fleet.publishedVtimes();
@@ -168,19 +143,16 @@ registerFleetAudits(Auditor &a, FleetManager &fleet,
         // then age past the timeout, so detection latency is bounded by
         // timeout + 2 x checkPeriod.
         const WatchdogConfig cfg = *wd;
-        a.addFinal("watchdog.latency_bound",
-                   [&fleet, cfg](AuditLog &log, Tick now) {
-                       for (const WatchdogKill &k : fleet.watchdogKillLog()) {
-                           const Tick timeout =
-                               k.cause == WatchdogCause::Hang
-                               ? cfg.hangTimeout
-                               : cfg.runawayTimeout;
-                           const Tick bound = timeout + 2 * cfg.checkPeriod;
-                           log.check(k.latency <= bound,
-                                     "watchdog.latency_bound", now, bound,
-                                     k.latency);
-                       }
-                   });
+        a.addFinal([&fleet, cfg](AuditLog &log, Tick now) {
+            for (const WatchdogKill &k : fleet.watchdogKillLog()) {
+                const Tick timeout = k.cause == WatchdogCause::Hang
+                    ? cfg.hangTimeout
+                    : cfg.runawayTimeout;
+                const Tick bound = timeout + 2 * cfg.checkPeriod;
+                log.check(k.latency <= bound, "watchdog.latency_bound", now,
+                          bound, k.latency);
+            }
+        });
     }
 }
 
@@ -190,7 +162,7 @@ registerServeAudits(Auditor &a, ServeEngine &engine, FleetManager &fleet)
     // Conservation holds at every event boundary: a session is always
     // exactly one of in-system (queued/placed/backing-off), departed,
     // killed, shed, or throttled.
-    a.addPeriodic("serve.conservation", [&engine](AuditLog &log, Tick now) {
+    a.addPeriodic([&engine](AuditLog &log, Tick now) {
         const std::int64_t arrivals =
             static_cast<std::int64_t>(engine.arrivalsSeen());
         const std::int64_t accounted =
@@ -209,58 +181,47 @@ registerServeAudits(Auditor &a, ServeEngine &engine, FleetManager &fleet)
     // check recounts outcomes from the records themselves: every
     // session is exactly one of served, killed, shed, throttled, or
     // still in-system, and each tally matches its engine counter.
-    a.addFinal("serve.outcome_partition",
-               [&engine](AuditLog &log, Tick now) {
-                   std::int64_t served = 0, killed = 0, shed = 0;
-                   std::int64_t throttled = 0, inSystem = 0, total = 0;
-                   bool exclusive = true;
-                   engine.visitSessions([&](const SessionRecord &s, Tick,
-                                            std::uint64_t) {
-                       ++total;
-                       const bool isServed =
-                           s.done && !s.killed && !s.shed && !s.throttled;
-                       const int ways = (isServed ? 1 : 0) +
-                           (s.killed ? 1 : 0) + (s.shed ? 1 : 0) +
-                           (s.throttled ? 1 : 0) + (s.done ? 0 : 1);
-                       if (ways != 1)
-                           exclusive = false;
-                       if (!s.done)
-                           ++inSystem;
-                       else if (s.killed)
-                           ++killed;
-                       else if (s.throttled)
-                           ++throttled;
-                       else if (s.shed)
-                           ++shed;
-                       else
-                           ++served;
-                   });
-                   log.check(exclusive, "serve.outcome_partition", now, 1,
-                             0);
-                   log.check(served + killed + shed + throttled +
-                                 inSystem == total,
-                             "serve.outcome_partition", now, total,
-                             served + killed + shed + throttled + inSystem);
-                   log.check(served ==
-                                 static_cast<std::int64_t>(
-                                     engine.departures()),
-                             "serve.outcome_partition", now,
-                             static_cast<std::int64_t>(engine.departures()),
-                             served);
-                   log.check(shed == static_cast<std::int64_t>(
-                                         engine.shedSessions()),
-                             "serve.outcome_partition", now,
-                             static_cast<std::int64_t>(
-                                 engine.shedSessions()),
-                             shed);
-                   log.check(throttled ==
-                                 static_cast<std::int64_t>(
-                                     engine.throttledSessions()),
-                             "serve.outcome_partition", now,
-                             static_cast<std::int64_t>(
-                                 engine.throttledSessions()),
-                             throttled);
-               });
+    a.addFinal([&engine](AuditLog &log, Tick now) {
+        std::int64_t served = 0, killed = 0, shed = 0;
+        std::int64_t throttled = 0, inSystem = 0, total = 0;
+        bool exclusive = true;
+        engine.visitSessions([&](const SessionRecord &s, Tick,
+                                 std::uint64_t) {
+            ++total;
+            const bool isServed =
+                s.done && !s.killed && !s.shed && !s.throttled;
+            const int ways = (isServed ? 1 : 0) + (s.killed ? 1 : 0) +
+                (s.shed ? 1 : 0) + (s.throttled ? 1 : 0) +
+                (s.done ? 0 : 1);
+            if (ways != 1)
+                exclusive = false;
+            if (!s.done)
+                ++inSystem;
+            else if (s.killed)
+                ++killed;
+            else if (s.throttled)
+                ++throttled;
+            else if (s.shed)
+                ++shed;
+            else
+                ++served;
+        });
+        log.check(exclusive, "serve.outcome_partition", now, 1, 0);
+        log.check(served + killed + shed + throttled + inSystem == total,
+                  "serve.outcome_partition", now, total,
+                  served + killed + shed + throttled + inSystem);
+        log.check(served == static_cast<std::int64_t>(engine.departures()),
+                  "serve.outcome_partition", now,
+                  static_cast<std::int64_t>(engine.departures()), served);
+        log.check(shed == static_cast<std::int64_t>(engine.shedSessions()),
+                  "serve.outcome_partition", now,
+                  static_cast<std::int64_t>(engine.shedSessions()), shed);
+        log.check(throttled ==
+                      static_cast<std::int64_t>(engine.throttledSessions()),
+                  "serve.outcome_partition", now,
+                  static_cast<std::int64_t>(engine.throttledSessions()),
+                  throttled);
+    });
 
     // Exact usage reconciliation (the runtime form of the tests'
     // expectExactAccounting): every tick and request the meters charged
@@ -268,30 +229,29 @@ registerServeAudits(Auditor &a, ServeEngine &engine, FleetManager &fleet)
     // evictions, failovers, and kills. The meter side is each device's
     // live slots plus the totals its retired pids folded in, so a
     // charge that lands after an incarnation's fold shows up here.
-    a.addFinal("serve.usage_reconciliation",
-               [&engine, &fleet](AuditLog &log, Tick now) {
-                   Tick session_busy = 0;
-                   std::uint64_t session_reqs = 0;
-                   engine.visitSessions([&](const SessionRecord &, Tick busy,
-                                            std::uint64_t reqs) {
-                       session_busy += busy;
-                       session_reqs += reqs;
-                   });
-                   Tick meter_busy = 0;
-                   std::uint64_t meter_reqs = 0;
-                   for (std::size_t i = 0; i < fleet.deviceCount(); ++i) {
-                       const UsageMeter &m = fleet.stack(i).meter;
-                       meter_busy += m.totalBusy();
-                       meter_reqs += m.totalRequests();
-                   }
-                   log.check(session_busy == meter_busy,
-                             "serve.usage_reconciliation", now, meter_busy,
-                             session_busy);
-                   log.check(session_reqs == meter_reqs,
-                             "serve.usage_reconciliation", now,
-                             static_cast<std::int64_t>(meter_reqs),
-                             static_cast<std::int64_t>(session_reqs));
-               });
+    a.addFinal([&engine, &fleet](AuditLog &log, Tick now) {
+        Tick session_busy = 0;
+        std::uint64_t session_reqs = 0;
+        engine.visitSessions([&](const SessionRecord &, Tick busy,
+                                 std::uint64_t reqs) {
+            session_busy += busy;
+            session_reqs += reqs;
+        });
+        Tick meter_busy = 0;
+        std::uint64_t meter_reqs = 0;
+        for (std::size_t i = 0; i < fleet.deviceCount(); ++i) {
+            const UsageMeter &m = fleet.stack(i).meter;
+            meter_busy += m.totalBusy();
+            meter_reqs += m.totalRequests();
+        }
+        log.check(session_busy == meter_busy,
+                  "serve.usage_reconciliation", now, meter_busy,
+                  session_busy);
+        log.check(session_reqs == meter_reqs,
+                  "serve.usage_reconciliation", now,
+                  static_cast<std::int64_t>(meter_reqs),
+                  static_cast<std::int64_t>(session_reqs));
+    });
 }
 
 } // namespace obs

@@ -25,12 +25,12 @@
 #include <utility>
 #include <vector>
 
+#include "sim/periodic.hh"
 #include "sim/types.hh"
 
 namespace neon
 {
 
-class EventQueue;
 class FleetManager;
 class ServeEngine;
 struct WatchdogConfig;
@@ -126,19 +126,22 @@ class Auditor
     /** A check body: evaluate invariants into @p log at time @p now. */
     using Check = std::function<void(AuditLog &, Tick)>;
 
-    explicit Auditor(EventQueue &q) : eq(q) {}
+    explicit Auditor(EventQueue &q)
+        : eq(q), cadence(q, AuditConfig::period, [this] { runPeriodic(); })
+    {
+    }
 
     Auditor(const Auditor &) = delete;
     Auditor &operator=(const Auditor &) = delete;
 
     /** Run @p fn every AuditConfig::period (and once more at finalize). */
-    void addPeriodic(std::string name, Check fn);
+    void addPeriodic(Check fn) { periodic.push_back(std::move(fn)); }
 
     /** Run @p fn once, at finalize. */
-    void addFinal(std::string name, Check fn);
+    void addFinal(Check fn) { finals.push_back(std::move(fn)); }
 
     /** Arm the periodic cadence. */
-    void start();
+    void start() { cadence.start(); }
 
     /**
      * Run every periodic check once more plus all final checks, and
@@ -150,13 +153,13 @@ class Auditor
     AuditReport report() const { return log_.report(); }
 
   private:
-    void tick();
+    void runPeriodic();
 
     EventQueue &eq;
+    Periodic cadence;
     AuditLog log_;
-    std::vector<std::pair<std::string, Check>> periodic;
-    std::vector<std::pair<std::string, Check>> finals;
-    bool started = false;
+    std::vector<Check> periodic;
+    std::vector<Check> finals;
     bool finalized = false;
 };
 

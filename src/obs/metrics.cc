@@ -3,17 +3,11 @@
 #include <bit>
 
 #include "obs/trace.hh"
-#include "sim/logging.hh"
 
 namespace neon
 {
 namespace obs
 {
-
-MetricsRegistry::~MetricsRegistry()
-{
-    stopSampling();
-}
 
 void
 MetricsRegistry::probe(const std::string &name, std::function<double()> fn)
@@ -26,35 +20,6 @@ MetricsRegistry::probe(const std::string &name, std::function<double()> fn)
     }
     series_.push_back({name, {}});
     probes.push_back(std::move(fn));
-}
-
-void
-MetricsRegistry::startSampling(EventQueue &q, Tick p)
-{
-    if (p <= 0)
-        panic("metrics sample period must be positive, got ", p);
-    stopSampling();
-    eq = &q;
-    period = p;
-    scheduleNext();
-}
-
-void
-MetricsRegistry::stopSampling()
-{
-    if (eq && pending != invalidEventId)
-        eq->cancel(pending);
-    pending = invalidEventId;
-    eq = nullptr;
-}
-
-void
-MetricsRegistry::scheduleNext()
-{
-    pending = eq->scheduleIn(period, [this] {
-        sampleNow(*eq);
-        scheduleNext();
-    });
 }
 
 void

@@ -1,13 +1,13 @@
 /**
  * @file
- * Named metrics registry with virtual-time sampling.
+ * Named metrics registry.
  *
  * Instrumented code registers probes once at construction: callbacks
  * into live simulation state (queue depth, live sessions, vtime lag).
- * The registry evaluates every probe on a configurable virtual-time
- * cadence into an in-memory time series and (when the Counter trace
- * category is enabled) mirrors each sample into the trace ring so
- * exported timelines get counter tracks.
+ * Each sampleNow() evaluates every probe into an in-memory time series
+ * and (when the Counter trace category is enabled) mirrors each sample
+ * into the trace ring so exported timelines get counter tracks. The
+ * Observer calls it on a virtual-time cadence.
  */
 
 #ifndef NEON_OBS_METRICS_HH
@@ -41,15 +41,11 @@ struct MetricSeries
     std::vector<MetricSample> samples;
 };
 
-/**
- * Owns the probes of one simulation run and samples them on a
- * virtual-time cadence.
- */
+/** Owns the probes of one simulation run and their recorded series. */
 class MetricsRegistry
 {
   public:
     MetricsRegistry() = default;
-    ~MetricsRegistry();
 
     MetricsRegistry(const MetricsRegistry &) = delete;
     MetricsRegistry &operator=(const MetricsRegistry &) = delete;
@@ -60,16 +56,6 @@ class MetricsRegistry
      * series.
      */
     void probe(const std::string &name, std::function<double()> fn);
-
-    /**
-     * Begin sampling every registered metric each @p period of virtual
-     * time on @p eq (first sample at now + period). Stops automatically
-     * at destruction; calling again re-arms with the new cadence.
-     */
-    void startSampling(EventQueue &eq, Tick period);
-
-    /** Cancel the sampling cadence (series are kept). */
-    void stopSampling();
 
     /** Take one sample of every probe right now (time from @p eq). */
     void sampleNow(EventQueue &eq);
@@ -84,14 +70,8 @@ class MetricsRegistry
     void printCsv(std::ostream &os) const;
 
   private:
-    void scheduleNext();
-
     std::vector<std::function<double()>> probes; ///< parallel to series_
     std::vector<MetricSeries> series_;
-
-    EventQueue *eq = nullptr;
-    Tick period = 0;
-    EventId pending{};
 };
 
 } // namespace obs

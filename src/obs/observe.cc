@@ -16,7 +16,8 @@ namespace obs
 {
 
 Observer::Observer(EventQueue &q, const ObserveConfig &c)
-    : eq(q), cfg(c), ring(c.bufferCapacity)
+    : eq(q), cfg(c), ring(c.bufferCapacity),
+      sampler(q, c.samplePeriod, [this] { registry.sampleNow(eq); })
 {
     setTraceSink(&ring, cfg.categories, &eq);
 }
@@ -98,13 +99,6 @@ Observer::attachShards(ShardedEngine &engine)
             std::make_unique<TraceRecorder>(cfg.bufferCapacity));
         engine.setShardTraceSink(s, shardRings.back().get());
     }
-}
-
-void
-Observer::start()
-{
-    if (cfg.samplePeriod > 0)
-        registry.startSampling(eq, cfg.samplePeriod);
 }
 
 std::vector<TraceRecord>

@@ -23,6 +23,7 @@
 #include "obs/audit.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
+#include "sim/periodic.hh"
 
 namespace neon
 {
@@ -75,7 +76,10 @@ struct ObserveConfig
     }
 };
 
-/** One run's observability state: trace ring + metrics + outputs. */
+/**
+ * One run's observability state: trace ring, metrics registry and the
+ * cadence that samples it every samplePeriod, and outputs.
+ */
 class Observer
 {
   public:
@@ -122,7 +126,7 @@ class Observer
     void attachShards(ShardedEngine &engine);
 
     /** Begin the sampling cadence (no-op when samplePeriod == 0). */
-    void start();
+    void start() { sampler.start(); }
 
     /** Write the configured trace JSON / counters CSV outputs. */
     void writeOutputs();
@@ -141,6 +145,7 @@ class Observer
     ObserveConfig cfg;
     TraceRecorder ring;
     MetricsRegistry registry;
+    Periodic sampler;
 
     /** Per-shard rings (attachShards; parallel runs only). */
     std::vector<std::unique_ptr<TraceRecorder>> shardRings;

@@ -12,20 +12,22 @@ namespace neon
 
 KernelModule::KernelModule(EventQueue &eq, GpuDevice &device,
                            const CostModel &costs,
-                           const ChannelPolicy &policy)
-    : eq(eq), dev(device), cost(costs), policy(policy), poller(eq)
+                           const ChannelPolicy &policy, Tick poll_period)
+    : eq(eq), dev(device), cost(costs), policy(policy),
+      poller(eq, poll_period, [this] {
+          NEON_TRACE(obs::TraceCategory::Kernel, obs::TraceKind::Instant,
+                     "kern.poll", obs::TraceIds{deviceIndex(), -1, -1},
+                     activeList.size(), parked.size());
+          if (sched)
+              sched->onPoll(this->eq.now());
+      })
 {
     // Every direct submission, and every intercepted one that finds
-    // its channel empty, schedules its delivery this far ahead.
+    // its channel empty, schedules its delivery this far ahead, and
+    // every poll tick is one poll period after the last.
     eq.declareLane(cost.directDoorbellWrite);
     eq.declareLane(cost.faultPath(0));
-    poller.onPoll = [this](Tick now) {
-        NEON_TRACE(obs::TraceCategory::Kernel, obs::TraceKind::Instant,
-                   "kern.poll", obs::TraceIds{deviceIndex(), -1, -1},
-                   activeList.size(), parked.size());
-        if (sched)
-            sched->onPoll(now);
-    };
+    eq.declareLane(poll_period);
 }
 
 void

@@ -21,11 +21,11 @@
 #include "gpu/device.hh"
 #include "os/channel_tracker.hh"
 #include "os/cost_model.hh"
-#include "os/polling_service.hh"
 #include "os/scheduler.hh"
 #include "os/task.hh"
 #include "sim/event_queue.hh"
 #include "sim/id_map.hh"
+#include "sim/periodic.hh"
 
 namespace neon
 {
@@ -49,7 +49,8 @@ class KernelModule
   public:
     KernelModule(EventQueue &eq, GpuDevice &device,
                  const CostModel &costs = CostModel(),
-                 const ChannelPolicy &policy = ChannelPolicy());
+                 const ChannelPolicy &policy = ChannelPolicy(),
+                 Tick poll_period = msec(1));
 
     KernelModule(const KernelModule &) = delete;
     KernelModule &operator=(const KernelModule &) = delete;
@@ -60,7 +61,6 @@ class KernelModule
     /** Fleet position of the backing device (trace records). */
     std::int16_t deviceIndex() const { return dev.deviceIndex(); }
     const CostModel &costs() const { return cost; }
-    PollingService &polling() { return poller; }
     ChannelTracker &tracker() { return chanTracker; }
     const ChannelPolicy &channelPolicy() const { return policy; }
 
@@ -68,7 +68,10 @@ class KernelModule
     void setScheduler(Scheduler *s);
     Scheduler *scheduler() { return sched; }
 
-    /** Start polling and let the policy install its timers. */
+    /**
+     * Start the polling thread (the policy's onPoll, once per poll
+     * period) and let the policy install its timers.
+     */
     void start();
 
     // ------------------------------------------------------------------
@@ -250,7 +253,7 @@ class KernelModule
     GpuDevice &dev;
     CostModel cost;
     ChannelPolicy policy;
-    PollingService poller;
+    Periodic poller;
     ChannelTracker chanTracker;
     Scheduler *sched = nullptr;
 

@@ -157,11 +157,11 @@ struct RetryConfig
 
 /**
  * Service-level objective targets for goodput accounting. A departed,
- * un-killed session "meets SLO" when it satisfies every configured
- * target; goodput is the fraction of such sessions (SloReport::goodput,
- * and per window in the analysis plane's timeline). Both targets off
- * (the default) keeps goodput reporting untargeted: every departure
- * counts as met.
+ * un-killed session "meets SLO" when it satisfies the sojourn target
+ * and its class's queue budget; goodput is the fraction of such
+ * sessions (SloReport::goodput, and per window in the analysis plane's
+ * timeline). With neither set (the default) goodput reporting stays
+ * untargeted: every departure counts as met.
  */
 struct SloTargetConfig
 {
@@ -169,15 +169,13 @@ struct SloTargetConfig
     Tick sojournTarget = 0;
 
     /**
-     * Arrival-to-admission queueing bound (0 = no target). This is the
-     * budget the predictive shedder compares its delay estimate with,
-     * and the target under which queue-heavy sessions stop counting as
-     * goodput — the knob that makes shedding *raise* goodput at
-     * overload instead of merely shrinking the served count.
+     * Arrival-to-admission queueing bound shared by every class: none.
+     * Each class sets its own (ServeClass::queueBudget), which the
+     * predictive shedder and the goodput bound read.
      */
-    Tick queueTarget = 0;
+    static constexpr Tick queueTarget = 0;
 
-    bool any() const { return sojournTarget > 0 || queueTarget > 0; }
+    bool any() const { return sojournTarget > 0; }
 };
 
 /** Serving-layer configuration. */

@@ -88,7 +88,10 @@ ServeEngine::ServeEngine(EventQueue &eq, FleetManager &fleet,
     : eq(eq), fleet(fleet), cfg(cfg), classes(std::move(classes)),
       slots(slots_per_device), seed(seed),
       adm(cfg.admission, slots_per_device * fleet.deviceCount()),
-      clock(fleet, slots_per_device), limiter(cfg.rateLimit),
+      clock(fleet, slots_per_device),
+      clockTicks(eq, cfg.useGlobalClock ? cfg.clockPeriod : 0,
+                 [this] { onClockTick(); }),
+      limiter(cfg.rateLimit),
       shedder(cfg.shed), lifetimeRng(namedStream(seed, "serve.lifetime"))
 {
     if (this->classes.empty())
@@ -145,9 +148,7 @@ ServeEngine::start()
 {
     for (std::size_t c = 0; c < classes.size(); ++c)
         scheduleNextArrival(c);
-    if (cfg.useGlobalClock && cfg.clockPeriod > 0) {
-        eq.scheduleIn(cfg.clockPeriod, [this] { onClockTick(); });
-    }
+    clockTicks.start();
 }
 
 void
@@ -517,13 +518,6 @@ ServeEngine::queuedWorkAhead(int rank) const
     return work;
 }
 
-Tick
-ServeEngine::queueBudgetOf(std::size_t cls) const
-{
-    const Tick own = classes[cls].queueBudget;
-    return own > 0 ? own : cfg.slo.queueTarget;
-}
-
 bool
 ServeEngine::meetsSlo(std::size_t cls, Tick arrived, Tick admitted,
                       Tick departed) const
@@ -719,7 +713,6 @@ ServeEngine::onClockTick()
     }
 
     tryMigrate();
-    eq.scheduleIn(cfg.clockPeriod, [this] { onClockTick(); });
 }
 
 void

@@ -46,6 +46,7 @@
 #include "serve/rate_limit.hh"
 #include "serve/serve_config.hh"
 #include "serve/slo_admission.hh"
+#include "sim/periodic.hh"
 #include "sim/random.hh"
 #include "workload/arrival.hh"
 
@@ -66,8 +67,8 @@ struct ServeClass
     QosClass qos = QosClass::Batch;
 
     /**
-     * Per-class queue-delay budget for predictive shedding and the
-     * release deadline (0 = inherit ServeConfig::slo.queueTarget).
+     * Per-class queue-delay budget for predictive shedding, the
+     * release deadline and goodput (0 = no budget).
      */
     Tick queueBudget = 0;
 
@@ -337,8 +338,11 @@ class ServeEngine
     // Service-level rules (shared by results and the analysis plane)
     // ------------------------------------------------------------------
 
-    /** Queue-delay budget of class @p cls: its own, else slo.queueTarget. */
-    Tick queueBudgetOf(std::size_t cls) const;
+    /** Queue-delay budget of class @p cls (0 = none). */
+    Tick queueBudgetOf(std::size_t cls) const
+    {
+        return classes[cls].queueBudget;
+    }
 
     /**
      * Did a clean departure of class @p cls meet the SLO? Its residency
@@ -410,6 +414,7 @@ class ServeEngine
 
     AdmissionController adm;
     GlobalVirtualClock clock;
+    Periodic clockTicks; ///< onClockTick, under the global clock only
     TenantRateLimiter limiter;
     SloAdmission shedder;
     Rng lifetimeRng;

@@ -18,8 +18,8 @@
  *    fixed delay: an event scheduled exactly that many ticks ahead is
  *    appended to it. Lane 0 (delay 0) takes events for the current
  *    tick; owners of other constant delays declare them (the kernel
- *    its doorbell and fault-path costs, the polling service its
- *    period). Because now() never decreases, every lane is sorted by
+ *    its doorbell and fault-path costs and its poll period). Because
+ *    now() never decreases, every lane is sorted by
  *    (tick, sequence) as it is built. On the serving workloads the
  *    lanes take 76-78% of all events; only jittered device
  *    completions and rare timers use the heap. Execution takes the earliest of the

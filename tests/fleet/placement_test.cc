@@ -147,6 +147,23 @@ TEST(StickyPlacement, OverflowSpillsToLeastLoaded)
     EXPECT_EQ(p.place(devices, req("d", "hot")), home);
 }
 
+TEST(StickyPlacement, OverflowStaysHomeWhenEveryOtherDeviceIsDown)
+{
+    // Home is over capacity, but every other device is down: with no
+    // candidate left after excluding home, the spill retries without
+    // the exclusion and lands back home rather than on a dead device.
+    StickyPlacement p(1);
+    auto devices = homogeneous(3);
+    const std::size_t home = p.place(devices, req("a", "hot"));
+    ++devices[home].assignedTasks;
+
+    for (auto &d : devices) {
+        if (d.index != home)
+            d.up = false;
+    }
+    EXPECT_EQ(p.place(devices, req("b", "hot")), home);
+}
+
 TEST(StickyPlacement, SingleDeviceNeverSpills)
 {
     StickyPlacement p(1);

@@ -195,16 +195,16 @@ TEST(Auditor, PeriodicCadenceAndSeededViolations)
     // monotonicity pass over a device whose vtime falls, and a final
     // check that only runs at finalize.
     int periodic_runs = 0;
-    a.addPeriodic("ok", [&](AuditLog &log, Tick now) {
+    a.addPeriodic([&](AuditLog &log, Tick now) {
         ++periodic_runs;
         log.check(true, "ok", now);
     });
-    a.addPeriodic("seeded", [](AuditLog &log, Tick now) {
+    a.addPeriodic([](AuditLog &log, Tick now) {
         log.check(false, "seeded", now, 1, 0);
     });
     registerFleetAudits(a, f.fleet);
     int final_runs = 0;
-    a.addFinal("final_only", [&](AuditLog &log, Tick now) {
+    a.addFinal([&](AuditLog &log, Tick now) {
         ++final_runs;
         log.check(true, "final_only", now);
     });

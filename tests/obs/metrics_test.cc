@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the metrics registry: probe registration,
- * virtual-time sampling, trace-ring mirroring, and the CSV dump.
+ * virtual-time sampling (driven by a Periodic, as the Observer does),
+ * trace-ring mirroring, and the CSV dump.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "sim/event_queue.hh"
+#include "sim/periodic.hh"
 
 namespace neon
 {
@@ -67,9 +69,10 @@ TEST(Metrics, SamplingCadenceRecordsEveryMetric)
         });
     }
 
-    reg.startSampling(eq, usec(250));
+    Periodic sampler(eq, usec(250), [&] { reg.sampleNow(eq); });
+    sampler.start();
     eq.runFor(msec(1));
-    reg.stopSampling();
+    sampler.stop();
 
     ASSERT_EQ(reg.series().size(), 3u);
     const MetricSeries &es = reg.series()[0];
@@ -98,7 +101,8 @@ TEST(Metrics, SamplesMirrorIntoTraceRingWhenCounterCategoryOn)
 
     MetricsRegistry reg;
     reg.probe("mirrored", [] { return 42.5; });
-    reg.startSampling(eq, usec(100));
+    Periodic sampler(eq, usec(100), [&] { reg.sampleNow(eq); });
+    sampler.start();
     eq.runFor(usec(350)); // 3 samples
     setTraceSink(nullptr, 0);
 
@@ -120,7 +124,8 @@ TEST(Metrics, NoMirroringWhenCounterCategoryOff)
 
     MetricsRegistry reg;
     reg.probe("silent", [] { return 1.0; });
-    reg.startSampling(eq, usec(100));
+    Periodic sampler(eq, usec(100), [&] { reg.sampleNow(eq); });
+    sampler.start();
     eq.runFor(usec(500));
     setTraceSink(nullptr, 0);
 
@@ -134,7 +139,8 @@ TEST(Metrics, CsvDumpAlignsSeriesByRow)
     MetricsRegistry reg;
     reg.probe("a", [] { return 1.0; });
     reg.probe("b", [] { return 0.5; });
-    reg.startSampling(eq, usec(10));
+    Periodic sampler(eq, usec(10), [&] { reg.sampleNow(eq); });
+    sampler.start();
     eq.runFor(usec(30));
 
     std::ostringstream os;

@@ -2,16 +2,16 @@
  * @file
  * Allocation guards for the serving path.
  *
- * Once a serve world is warm, a request, a poll, a DFQ episode or a
- * global-clock tick must not touch the heap: every container they
- * use keeps its capacity. The first test pins that with long-lived
- * sessions (no placement or retirement in the window). The second
- * lets sessions churn, where each incarnation still allocates its
- * task, coroutine frame, channel, context and ring, and bounds the
- * allocations per session so that none is added per request. The
- * third bounds what building and starting a world allocates per
- * device, so that no per-device closure or name creeps back into
- * setup.
+ * Once a serve world is warm, a request, a poll, a DFQ episode, a
+ * global-clock tick or a watchdog scan must not touch the heap: every
+ * container they use keeps its capacity. The first two tests pin that
+ * with long-lived sessions (no placement or retirement in the window),
+ * the second with the watchdog on. The third lets sessions churn,
+ * where each incarnation still allocates its task, coroutine frame,
+ * channel, context and ring, and bounds the allocations per session so
+ * that none is added per request. The last bounds what building and
+ * starting a world allocates per device, so that no per-device closure
+ * or name creeps back into setup.
  */
 
 #include <gtest/gtest.h>
@@ -89,6 +89,33 @@ TEST(ServeAllocation, SteadyStateIsAllocationFree)
     EXPECT_EQ(allocations, 0u)
         << "a warm serve world allocated " << allocations
         << " times in 4 simulated seconds";
+}
+
+TEST(ServeAllocation, SteadyStateWithWatchdogIsAllocationFree)
+{
+    // The same warm world with every device's watchdog scanning its
+    // busy channels each checkPeriod: a scan reuses its stamp tables.
+    ExperimentConfig cfg = guardConfig();
+    cfg.fault.watchdog.enabled = true;
+    std::vector<Tick> arrivals;
+    for (int i = 1; i <= 8; ++i)
+        arrivals.push_back(msec(i));
+    ServeWorld world(cfg, {{throttleWork(), ArrivalSpec::trace(arrivals),
+                            LifetimeSpec::forever()}});
+    world.start();
+    world.runFor(sec(2));
+    ASSERT_EQ(world.engine.liveSessions(), 8u);
+
+    const std::uint64_t before = test::allocationCount();
+    world.runFor(sec(4));
+    const std::uint64_t allocations = test::allocationCount() - before;
+
+    // 1,200 scans per device by now, 800 in the window; no kills.
+    EXPECT_EQ(world.fleet.watchdog(0)->scans(), 1200u);
+    EXPECT_EQ(world.fleet.totalKills(), 0u);
+    EXPECT_EQ(allocations, 0u)
+        << "a warm serve world with the watchdog on allocated "
+        << allocations << " times in 4 simulated seconds";
 }
 
 TEST(ServeAllocation, ChurnStaysWithinPerSessionBound)
