@@ -272,6 +272,105 @@ TEST(ControlPlane, InteractiveAdmitsDuringVictimBackoff)
     EXPECT_TRUE(r.audit.clean()) << r.audit.summary();
 }
 
+TEST(ControlPlane, PreemptedRequeueIntoDeadFleetRetriesThenResumes)
+{
+    // PreemptionFreesSlotForInteractive with the only device dead from
+    // 11 to 13 ms. The interactive is evicted at 11 ms; the batch
+    // victim's requeue at 12 ms finds no capacity and falls into the
+    // fault-retry loop, so it re-enters the queue as a priority retry
+    // at 14 ms. That retry still resumes as a preemption, not a
+    // failover, with the frozen 40 ms remainder. The interactive's own
+    // retry at 13 ms ran before the repair, so it queues behind the
+    // batch session and fails over when that one departs.
+    ExperimentConfig cfg = controlConfig(1, 1);
+    cfg.serve.qos.enabled = true;
+    cfg.serve.qos.preemption = true;
+    cfg.serve.qos.preemptionBackoff = msec(2);
+    cfg.measure = msec(300);
+    cfg.observe.categories =
+        static_cast<std::uint32_t>(obs::TraceCategory::Serve) |
+        static_cast<std::uint32_t>(obs::TraceCategory::Fault) |
+        static_cast<std::uint32_t>(obs::TraceCategory::Fleet);
+
+    ServeWorld world(cfg, {
+                              classAt("bat", {0}, msec(50)),
+                              classAt("int", {msec(10)}, msec(5),
+                                      QosClass::Interactive),
+                          });
+    std::vector<SessionEvent> batEvents;
+    world.engine.addSessionListener([&batEvents](const SessionEvent &e) {
+        if (e.session == 0)
+            batEvents.push_back(e);
+    });
+    world.start();
+    world.runFor(msec(11));
+    world.fleet.failDevice(0);
+    world.runFor(msec(2));
+    world.fleet.repairDevice(0);
+    world.runFor(cfg.measure - msec(13));
+    const ServeRunResult r = world.results();
+
+    using K = SessionEvent::Kind;
+    const std::vector<std::pair<K, Tick>> want = {
+        {K::Arrive, 0},           {K::Admit, 0},
+        {K::Preempt, msec(10)},   {K::RetryEnqueue, msec(14)},
+        {K::Admit, msec(14)},     {K::Depart, msec(54)},
+    };
+    ASSERT_EQ(batEvents.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(batEvents[i].kind, want[i].first) << "event " << i;
+        EXPECT_EQ(batEvents[i].when, want[i].second) << "event " << i;
+    }
+
+    const ServeSessionResult &bat = r.byLabel("bat#0");
+    EXPECT_EQ(bat.preemptions, 1);
+    EXPECT_EQ(bat.retries, 1);
+    EXPECT_EQ(bat.evictions, 0);
+    EXPECT_EQ(bat.failovers, 0);
+    EXPECT_EQ(bat.departed, msec(54));
+
+    const SessionStepTally &tally = world.engine.stepTally();
+    const auto steps = [&tally](SessionStep s) {
+        return tally[static_cast<std::size_t>(s)];
+    };
+    EXPECT_EQ(steps(SessionStep::PreemptRequeue), 0u);
+    EXPECT_EQ(steps(SessionStep::RetryArrive), 2u);
+    EXPECT_EQ(steps(SessionStep::PreemptResume), 1u);
+    EXPECT_EQ(steps(SessionStep::Failover), 1u);
+    EXPECT_EQ(steps(SessionStep::Preempt), 1u);
+    EXPECT_EQ(steps(SessionStep::Evict), 1u);
+    EXPECT_EQ(r.departures, 2u);
+    expectExactConservation(r);
+    EXPECT_TRUE(r.audit.clean()) << r.audit.summary();
+
+    // Interrupts retire the incarnation before they publish; a
+    // departure publishes before its retire.
+    ASSERT_EQ(r.traceDrops, 0u);
+    const std::vector<obs::TraceRecord> recs =
+        world.observer->mergedRecords();
+    const auto indexOf = [&recs](const char *name, std::int32_t pid,
+                                 std::int32_t session) {
+        for (std::size_t i = 0; i < recs.size(); ++i) {
+            if (obs::traceNameOf(recs[i].name) == name &&
+                (pid < 0 || recs[i].pid == pid) &&
+                (session < 0 || recs[i].session == session))
+                return i;
+        }
+        ADD_FAILURE() << "no " << name << " record";
+        return recs.size();
+    };
+    const std::int32_t batPid = recs[indexOf("serve.admit", -1, 0)].pid;
+    const std::int32_t intPid = recs[indexOf("serve.admit", -1, 1)].pid;
+    const std::int32_t resumedPid =
+        recs[indexOf("serve.preempt_resume", -1, 0)].pid;
+    EXPECT_LT(indexOf("fleet.retire", batPid, -1),
+              indexOf("serve.preempt", -1, 0));
+    EXPECT_LT(indexOf("fleet.retire", intPid, -1),
+              indexOf("serve.evict", -1, 1));
+    EXPECT_LT(indexOf("serve.depart", -1, 0),
+              indexOf("fleet.retire", resumedPid, -1));
+}
+
 /** 3x-oversubscribed two-class mix for the acceptance comparison. */
 std::vector<ServeWorkloadSpec>
 overloadSpecs(double rateScale = 1.0)
