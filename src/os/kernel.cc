@@ -277,16 +277,7 @@ KernelModule::submitDoorbell(Task &t, Channel &c, GpuRequest req)
                    "kern.doorbell_direct",
                    obs::TraceIds{deviceIndex(), t.pid(), -1}, c.id(),
                    req.ref);
-        const int cid = c.id();
-        Task *tp = &t;
-        // Hot path: one of these runs per direct submission; the
-        // raw-pointer + POD capture must stay inside the event
-        // callback's inline storage.
-        auto deliver = [this, tp, cid, req] {
-            finishDoorbell(tp, cid, req);
-        };
-        static_assert(EventCallback::fitsInline<decltype(deliver)>);
-        eq.scheduleIn(cost.directDoorbellWrite, std::move(deliver));
+        deliverIn(cost.directDoorbellWrite, t, c.id(), req);
         return;
     }
 
@@ -302,14 +293,7 @@ KernelModule::submitDoorbell(Task &t, Channel &c, GpuRequest req)
                    "kern.doorbell_allow",
                    obs::TraceIds{deviceIndex(), t.pid(), -1}, c.id(),
                    req.ref);
-        const Tick cost_now = cost.faultPath(c.ring().size());
-        const int cid = c.id();
-        Task *tp = &t;
-        auto deliver = [this, tp, cid, req] {
-            finishDoorbell(tp, cid, req);
-        };
-        static_assert(EventCallback::fitsInline<decltype(deliver)>);
-        eq.scheduleIn(cost_now, std::move(deliver));
+        deliverIn(cost.faultPath(c.ring().size()), t, c.id(), req);
     } else {
         NEON_TRACE(obs::TraceCategory::Kernel, obs::TraceKind::Instant,
                    "kern.doorbell_park",
@@ -343,13 +327,8 @@ KernelModule::releaseParked(Task &t)
                "kern.release_parked",
                obs::TraceIds{deviceIndex(), t.pid(), -1}, ps.channelId,
                ps.req.ref);
-    const Tick when = cost.faultPath(c->ring().size()) + cost.parkedRelease;
-    Task *tp = &t;
-    auto deliver = [this, tp, cid = ps.channelId, req = ps.req] {
-        finishDoorbell(tp, cid, req);
-    };
-    static_assert(EventCallback::fitsInline<decltype(deliver)>);
-    eq.scheduleIn(when, std::move(deliver));
+    deliverIn(cost.faultPath(c->ring().size()) + cost.parkedRelease, t,
+              ps.channelId, ps.req);
 }
 
 Task *
@@ -357,6 +336,18 @@ KernelModule::currentlyRunningTask() const
 {
     Channel *c = dev.engineCurrent(EngineKind::Execute);
     return c ? findTask(c->context().taskId()) : nullptr;
+}
+
+void
+KernelModule::deliverIn(Tick delay, Task &t, int channel_id, GpuRequest req)
+{
+    // Hot path: one of these runs per submission; the raw-pointer +
+    // POD capture must stay inside the event callback's inline storage.
+    auto deliver = [this, tp = &t, channel_id, req] {
+        finishDoorbell(tp, channel_id, req);
+    };
+    static_assert(EventCallback::fitsInline<decltype(deliver)>);
+    eq.scheduleIn(delay, std::move(deliver));
 }
 
 void

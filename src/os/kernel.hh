@@ -223,6 +223,24 @@ class KernelModule
         return c.lastSubmittedRef();
     }
 
+    /** Has every reference submitted on @p c completed? */
+    bool
+    drained(const Channel &c) const
+    {
+        return readCompletedRef(c) >= readLastSubmittedRef(c);
+    }
+
+    /** Has every channel of @p t drained? */
+    bool
+    drained(const Task &t) const
+    {
+        for (const Channel *c : t.channels()) {
+            if (!drained(*c))
+                return false;
+        }
+        return true;
+    }
+
     /** Status-update scan cost across @p n channels. */
     Tick
     statusUpdateCost(std::size_t n) const
@@ -247,6 +265,8 @@ class KernelModule
         GpuRequest req;
     };
 
+    /** Deliver @p req on channel @p channel_id, @p delay from now. */
+    void deliverIn(Tick delay, Task &t, int channel_id, GpuRequest req);
     void finishDoorbell(Task *t, int channel_id, GpuRequest req);
 
     EventQueue &eq;

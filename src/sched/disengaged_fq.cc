@@ -137,7 +137,7 @@ DisengagedFairQueueing::onPoll(Tick now)
       case Phase::Sampling:
         if (samplingDrainPid >= 0) {
             Task *t = kernel.findTask(samplingDrainPid);
-            if (!t || drainedOut(*t)) {
+            if (!t || kernel.drained(*t)) {
                 samplingDrainPid = -1;
                 sampleNext();
             } else if (now - drainStart > cfg.killThreshold) {
@@ -154,7 +154,7 @@ DisengagedFairQueueing::onPoll(Tick now)
             drainEnd = now;
             beginSampling();
         } else if (now - drainStart > cfg.killThreshold) {
-            killUndrained(now);
+            killUndrained();
         }
         break;
     }
@@ -174,27 +174,17 @@ DisengagedFairQueueing::pollDeltas()
 }
 
 bool
-DisengagedFairQueueing::drainedOut(const Task &t) const
-{
-    for (const Channel *c : t.channels()) {
-        if (kernel.readCompletedRef(*c) < kernel.readLastSubmittedRef(*c))
-            return false;
-    }
-    return true;
-}
-
-bool
 DisengagedFairQueueing::allDrained() const
 {
     for (const Channel *c : kernel.activeChannels()) {
-        if (kernel.readCompletedRef(*c) < kernel.readLastSubmittedRef(*c))
+        if (!kernel.drained(*c))
             return false;
     }
     return true;
 }
 
 void
-DisengagedFairQueueing::killUndrained(Tick)
+DisengagedFairQueueing::killUndrained()
 {
     // With multiple tasks on the device, every blocked task's channels
     // look "undrained"; the Section 6.2 vendor query identifies the
@@ -210,7 +200,7 @@ DisengagedFairQueueing::killUndrained(Tick)
     // Engine idle yet refs unsettled: reclaim whatever is left over.
     std::vector<Task *> victims;
     for (Channel *c : kernel.activeChannels()) {
-        if (kernel.readCompletedRef(*c) < kernel.readLastSubmittedRef(*c)) {
+        if (!kernel.drained(*c)) {
             Task *t = kernel.findTask(c->context().taskId());
             if (t && std::find(victims.begin(), victims.end(), t) ==
                 victims.end()) {
@@ -471,7 +461,7 @@ DisengagedFairQueueing::endSample()
             return;
         }
         Task *t = kernel.findTask(samplingDrainPid);
-        if (!t || drainedOut(*t)) {
+        if (!t || kernel.drained(*t)) {
             samplingDrainPid = -1;
             sampleNext();
         }
@@ -481,7 +471,6 @@ DisengagedFairQueueing::endSample()
 void
 DisengagedFairQueueing::decide()
 {
-    const Tick now = kernel.eventQueue().now();
     const Tick interval = std::max<Tick>(1, drainEnd - intervalStart);
 
     // 1. Advance active tasks' virtual times by their (estimated) use
@@ -565,7 +554,6 @@ DisengagedFairQueueing::decide()
     //    Sizing by the contender population (rather than the subset
     //    that happened to be sampled) keeps the denial threshold stable
     //    across episodes, which the equalization dynamics need.
-    (void)now;
     int contenders = 0;
     kernel.forEachGpuTask([this, &contenders](Task &t) {
         TaskState &ts = stateOf(t.pid());

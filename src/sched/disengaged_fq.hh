@@ -155,9 +155,8 @@ class DisengagedFairQueueing : public Scheduler, public VirtualTimeTap
     void enterFreeRun(Tick length);
     void episodeBegin();
     void pollDeltas();
-    bool drainedOut(const Task &t) const;
     bool allDrained() const;
-    void killUndrained(Tick now);
+    void killUndrained();
     void beginSampling();
     void sampleNext();
     void onSampleCompletion(int pid, int channel_id, std::uint64_t ref,

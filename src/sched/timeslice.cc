@@ -109,16 +109,6 @@ TimesliceScheduler::sliceExpired()
     checkDrain(kernel.eventQueue().now());
 }
 
-bool
-TimesliceScheduler::drainedOut(const Task &t) const
-{
-    for (const Channel *c : t.channels()) {
-        if (kernel.readCompletedRef(*c) < kernel.readLastSubmittedRef(*c))
-            return false;
-    }
-    return true;
-}
-
 void
 TimesliceScheduler::checkDrain(Tick now)
 {
@@ -131,7 +121,7 @@ TimesliceScheduler::checkDrain(Tick now)
         return;
     }
 
-    if (now >= drainReadyAt && drainedOut(*t)) {
+    if (now >= drainReadyAt && kernel.drained(*t)) {
         // Charge the overrun beyond the slice edge as overuse.
         const Tick over = std::max<Tick>(0, now - drainBegin);
         if (over > 0)

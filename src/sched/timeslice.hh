@@ -84,9 +84,6 @@ class TimesliceScheduler : public Scheduler
     /** Check whether the previous holder's channels have drained. */
     void checkDrain(Tick now);
 
-    /** All submitted requests on @p t's channels completed? */
-    bool drainedOut(const Task &t) const;
-
     /** Advance the token to the next eligible task. */
     void passToken();
 

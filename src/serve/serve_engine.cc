@@ -116,23 +116,35 @@ ServeEngine::ServeEngine(EventQueue &eq, FleetManager &fleet,
         arrivalProcs.emplace_back(c.arrivals, arrivalsRoot.fork());
     }
 
-    // Protection kills end a session from below the serve layer;
-    // finish the lifecycle bookkeeping and free the admission slot.
+    // Protection kills end a session from below the serve layer. This
+    // hook runs inside the kill path, so ending the session (whose
+    // freed slot may place and start a queued one) is deferred to a
+    // fresh event.
     fleet.onTaskKilled = [this](Task &t) {
         const SessionRecord *s = placedSessionOf(t);
         if (!s)
             return;
         const std::uint64_t sid = s->id;
-        // Minimal work here: this hook runs inside the kill path, so
-        // releasing the slot (which may place and start a queued
-        // session) is deferred to a fresh event.
-        this->eq.scheduleIn(0, [this, sid] { finalizeKill(sid); });
+        this->eq.scheduleIn(0, [this, sid] {
+            if (!sessions[sid]->done)
+                endSession(*sessions[sid], SessionStep::Kill);
+        });
     };
 
     // Device failure: capacity shrinks before the evictions land, each
     // evicted session re-queues through retry/backoff, and repair
     // restores capacity and drains the queue onto it.
-    fleet.onTaskEvicted = [this](Task &t) { onEviction(t); };
+    fleet.onTaskEvicted = [this](Task &t) {
+        SessionRecord *s = placedSessionOf(t);
+        if (!s) {
+            // Not a live serve incarnation (already departing); let
+            // the fleet's default disposition tear it down.
+            this->fleet.retireTask(t);
+            return;
+        }
+        interrupt(*s, SessionStep::Evict);
+        scheduleRetry(*s);
+    };
     fleet.onDeviceDown = [this](std::size_t) {
         onFleetCapacityChange();
     };
@@ -168,43 +180,32 @@ ServeEngine::onArrival(std::size_t cls)
     const ServeClass &c = classes[cls];
     const std::uint64_t sid = sessions.size();
 
-    auto s = std::make_unique<SessionRecord>();
-    s->id = sid;
-    s->cls = cls;
-    s->label = c.label + "#" + std::to_string(sid);
-    s->tenant = c.tenant.empty() ? c.label : c.tenant;
-    s->arrived = eq.now();
-    sessions.push_back(std::move(s));
+    SessionRecord &s =
+        *sessions.emplace_back(std::make_unique<SessionRecord>());
+    s.id = sid;
+    s.cls = cls;
+    s.label = c.label + "#" + std::to_string(sid);
+    s.tenant = c.tenant.empty() ? c.label : c.tenant;
+    s.arrived = eq.now();
 
     ++nLive;
     if (nLive > peakLive)
         peakLive = nLive;
-    publish(SessionStep::Arrive, *sessions[sid], cls, nLive);
+    publish(SessionStep::Arrive, s, cls, nLive);
 
     // Front door, stage 1: per-tenant token bucket. A throttled
     // arrival is recorded and counted, never silently dropped.
-    if (!limiter.allow(sessions[sid]->tenant, eq.now())) {
-        throttleSession(*sessions[sid]);
+    if (!limiter.allow(s.tenant, eq.now())) {
+        drop(s, SessionStep::Throttle, limiter.throttledOf(s.tenant));
         scheduleNextArrival(cls);
         return;
     }
 
-    const Tick budget = queueBudgetOf(cls);
-    QueuedRequest qr;
-    qr.session = sid;
-    qr.tenant = sessions[sid]->tenant;
-    qr.demand = c.demand;
-    qr.enqueued = eq.now();
-    qr.qosPriority = qosRankOf(cls);
-    qr.cls = cls;
-    // Deadline-aware release ordering is part of the QoS feature; off,
-    // the budget only drives shedding and goodput, never queue order.
-    qr.deadline =
-        cfg.qos.enabled && budget > 0 ? eq.now() + budget : 0;
-
     // Front door, stage 2: SLO prediction — but only for an arrival
     // that would actually queue; with a free slot and an empty queue
     // the delay is zero and admission is immediate.
+    const QueuedRequest qr = queuedRequestOf(s, false);
+    const Tick budget = queueBudgetOf(cls);
     const bool wouldQueue =
         adm.live() >= adm.capacity() || adm.pendingCount() > 0;
     if (wouldQueue && cfg.shed.enabled && budget > 0) {
@@ -214,7 +215,7 @@ ServeEngine::onArrival(std::size_t cls)
             queuedWorkAhead(qr.qosPriority), residual, adm.capacity(),
             budget);
         if (d.shed) {
-            shedAtFrontDoor(*sessions[sid], d);
+            drop(s, SessionStep::ShedPredicted, d.predicted, d.budget);
             scheduleNextArrival(cls);
             return;
         }
@@ -276,21 +277,23 @@ ServeEngine::admitSession(std::uint64_t sid)
 
     startBody(s);
 
-    if (resuming) {
-        // The departure clock stopped at eviction; resume it from the
-        // frozen remainder (none = infinite-lifetime session).
-        if (s.remainingLifetime >= 0) {
-            s.departAt = eq.now() + s.remainingLifetime;
-            s.departureEv = eq.scheduleIn(
-                s.remainingLifetime, [this, sid] { onDeparture(sid); });
-            s.remainingLifetime = -1;
-        }
-    } else if (c.lifetime.finite()) {
-        const Tick life = c.lifetime.sample(lifetimeRng);
-        s.departAt = eq.now() + life;
-        s.departureEv =
-            eq.scheduleIn(life, [this, sid] { onDeparture(sid); });
-    }
+    // A resume restarts the departure clock from the remainder frozen
+    // at its interruption; a fresh admission draws a lifetime, so the
+    // lifetime stream advances on fresh admissions only. -1: the
+    // session never departs.
+    const Tick life = resuming ? std::exchange(s.remainingLifetime, -1)
+        : c.lifetime.finite() ? c.lifetime.sample(lifetimeRng)
+                              : -1;
+    if (life < 0)
+        return;
+    s.departAt = eq.now() + life;
+    s.departureEv = eq.scheduleIn(life, [this, sid] {
+        // Same-tick races: a kill's finalizer owns a killed session,
+        // and an evicted one is the retry path's.
+        SessionRecord &d = *sessions[sid];
+        if (!d.done && d.task && !d.task->killed())
+            endSession(d, SessionStep::Depart);
+    });
 }
 
 void
@@ -311,100 +314,57 @@ ServeEngine::bodySeed(const SessionRecord &s) const
 }
 
 void
-ServeEngine::onDeparture(std::uint64_t sid)
+ServeEngine::endSession(SessionRecord &s, SessionStep step)
 {
-    SessionRecord &s = *sessions[sid];
-    if (s.done)
-        return; // killed while the departure event was in flight
-    if (!s.task)
-        return; // evicted same-tick: the retry path owns this session
-    if (s.task->killed())
-        return; // same-tick kill: finalizeKill owns this session
-
-    // Ahead of the retire, whose fleet and kernel records follow the
-    // departure's, and of freeSlot, whose release admits the next
-    // queued session after it.
-    publish(SessionStep::Depart, s, eq.now() - s.arrived);
+    // Ahead of the retire, whose fleet and kernel records follow this
+    // one, and of freeSlot, whose release admits the next queued
+    // session after it.
+    publish(step, s, eq.now() - s.arrived);
     untrackPlaced(s);
     // The fleet folds the usage after the teardown, so an aborted
     // in-flight request's occupancy is included.
     foldIncarnation(s, fleet.retireTask(*s.task));
     s.task = nullptr;
+    eq.cancel(s.departureEv); // a no-op from the departure itself
     s.departureEv = invalidEventId;
     s.departAt = -1;
     s.departed = eq.now();
     s.done = true;
+    s.killed = step == SessionStep::Kill;
     --nLive;
-    if (s.admitted >= 0)
-        shedder.noteHold(classes[s.cls].label, eq.now() - s.admitted);
+    shedder.noteHold(classes[s.cls].label, eq.now() - s.admitted);
 
     freeSlot(s.tenant);
 }
 
 void
-ServeEngine::finalizeKill(std::uint64_t sid)
+ServeEngine::interrupt(SessionRecord &s, SessionStep step)
 {
-    SessionRecord &s = *sessions[sid];
-    if (s.done)
-        return;
+    // Retire the incarnation (after a device failure its in-flight
+    // request was already lost and charged by forceDown), fold its
+    // usage, then freeze the departure clock.
+    untrackPlaced(s);
+    foldIncarnation(s, fleet.retireTask(*s.task));
+    s.task = nullptr;
+    int &times = step == SessionStep::Evict ? s.evictions : s.preemptions;
+    ++times;
+    if (step == SessionStep::Preempt)
+        s.preemptResume = true;
 
-    publish(SessionStep::Kill, s, eq.now() - s.arrived);
-    // Killed tasks keep their Task, so the usage is read in place.
-    if (s.task) {
-        untrackPlaced(s);
-        foldIncarnation(s, fleet.usageOf(*s.task));
-    }
     eq.cancel(s.departureEv);
     s.departureEv = invalidEventId;
-    eq.cancel(s.retryEv);
-    s.retryEv = invalidEventId;
+    // An infinite lifetime (no departure) stays infinite.
+    s.remainingLifetime =
+        s.departAt < 0 ? -1 : std::max<Tick>(0, s.departAt - eq.now());
     s.departAt = -1;
-    s.task = nullptr;
-    s.departed = eq.now();
-    s.done = true;
-    s.killed = true;
-    --nLive;
-    if (s.admitted >= 0)
-        shedder.noteHold(classes[s.cls].label, eq.now() - s.admitted);
 
+    publish(step, s, times, s.remainingLifetime);
+
+    // The freed slot releases the queue's best request: after a
+    // preemption, the interactive that caused it unless a priority
+    // retry or an earlier-deadline peer outranks it; after a device
+    // failure nobody, normally, since capacity already shrank.
     freeSlot(s.tenant);
-}
-
-void
-ServeEngine::onEviction(Task &t)
-{
-    SessionRecord *sp = placedSessionOf(t);
-    if (!sp) {
-        // Not a live serve incarnation (already departing); let the
-        // fleet's default disposition tear it down.
-        fleet.retireTask(t);
-        return;
-    }
-    SessionRecord &s = *sp;
-    untrackPlaced(s);
-
-    // Retire the incarnation on the dead device (its in-flight request
-    // was already lost and charged by the device's forceDown), fold
-    // its usage, then freeze the departure clock.
-    foldIncarnation(s, fleet.retireTask(t));
-    s.task = nullptr;
-    ++s.evictions;
-
-    if (s.departureEv != invalidEventId) {
-        eq.cancel(s.departureEv);
-        s.departureEv = invalidEventId;
-        s.remainingLifetime = std::max<Tick>(0, s.departAt - eq.now());
-        s.departAt = -1;
-    } else {
-        s.remainingLifetime = -1; // infinite lifetime stays infinite
-    }
-
-    publish(SessionStep::Evict, s, s.evictions, s.remainingLifetime);
-
-    // The slot it held is returned (capacity already shrank via
-    // onDeviceDown, so this normally releases nobody).
-    freeSlot(s.tenant);
-    scheduleRetry(s);
 }
 
 void
@@ -417,7 +377,7 @@ void
 ServeEngine::scheduleRetry(SessionRecord &s)
 {
     if (s.retries >= cfg.retry.maxRetries) {
-        shedSession(s);
+        drop(s, SessionStep::Shed, s.retries, eq.now() - s.arrived);
         return;
     }
     // base << retries, saturated at the cap before the shift can pass
@@ -430,7 +390,8 @@ ServeEngine::scheduleRetry(SessionRecord &s)
     ++s.retries;
 
     const std::uint64_t sid = s.id;
-    s.retryEv = eq.scheduleIn(backoff, [this, sid] { retryArrive(sid); });
+    s.retryEv = eq.scheduleIn(
+        backoff, [this, sid] { requeue(sid, SessionStep::RetryArrive); });
     NEON_TRACE(obs::TraceCategory::Fault, obs::TraceKind::Instant,
                "serve.retry_backoff",
                obs::TraceIds{-1, -1, static_cast<std::int32_t>(s.id)},
@@ -438,15 +399,17 @@ ServeEngine::scheduleRetry(SessionRecord &s)
 }
 
 void
-ServeEngine::retryArrive(std::uint64_t sid)
+ServeEngine::requeue(std::uint64_t sid, SessionStep step)
 {
     SessionRecord &s = *sessions[sid];
     s.retryEv = invalidEventId;
     if (s.done)
         return;
 
-    // Hopeless fleet (everything down): burn another backoff round
-    // rather than queueing toward capacity that may never return.
+    // Hopeless fleet (everything down): burn a fault-retry backoff
+    // round rather than queueing toward capacity that may never
+    // return. Its requeue is a priority RetryArrive even after a
+    // preemption; the admission still resumes the preempted lifetime.
     if (fleet.upDeviceCount() == 0 || adm.capacity() == 0) {
         scheduleRetry(s);
         return;
@@ -454,50 +417,50 @@ ServeEngine::retryArrive(std::uint64_t sid)
 
     // Past the hopeless-fleet check only: a re-backoff above stays in
     // the stall phase, while this point re-enters the admission queue.
-    publish(SessionStep::RetryArrive, s, s.retries);
-    const ServeClass &c = classes[s.cls];
-    QueuedRequest qr;
-    qr.session = sid;
-    qr.tenant = s.tenant;
-    qr.demand = c.demand;
-    qr.enqueued = eq.now();
-    qr.cls = s.cls;
-    qr.priority = true;
-    if (adm.arrive(qr))
+    const bool retry = step == SessionStep::RetryArrive;
+    publish(step, s, retry ? s.retries : s.preemptions);
+    if (adm.arrive(queuedRequestOf(s, retry)))
         admitSession(sid);
-    // else: queued at priority; a departure or repair releases it.
+    // else: queued; a departure or repair releases it.
 }
 
 void
-ServeEngine::shedSession(SessionRecord &s)
+ServeEngine::drop(SessionRecord &s, SessionStep step, std::int64_t arg0,
+                  std::int64_t arg1)
 {
     eq.cancel(s.retryEv);
     s.retryEv = invalidEventId;
     adm.removePending(s.id);
     s.remainingLifetime = -1;
-    s.shed = true;
+    s.throttled = step == SessionStep::Throttle;
+    s.shed = !s.throttled;
+    s.shedPredicted = step == SessionStep::ShedPredicted;
     s.done = true;
     --nLive;
-    publish(SessionStep::Shed, s, s.retries, eq.now() - s.arrived);
+    publish(step, s, arg0, arg1);
 }
 
-void
-ServeEngine::throttleSession(SessionRecord &s)
+QueuedRequest
+ServeEngine::queuedRequestOf(const SessionRecord &s, bool retry) const
 {
-    s.throttled = true;
-    s.done = true;
-    --nLive;
-    publish(SessionStep::Throttle, s, limiter.throttledOf(s.tenant));
-}
-
-void
-ServeEngine::shedAtFrontDoor(SessionRecord &s, const ShedDecision &d)
-{
-    s.shed = true;
-    s.shedPredicted = true;
-    s.done = true;
-    --nLive;
-    publish(SessionStep::ShedPredicted, s, d.predicted, d.budget);
+    QueuedRequest qr;
+    qr.session = s.id;
+    qr.tenant = s.tenant;
+    qr.demand = classes[s.cls].demand;
+    qr.enqueued = eq.now();
+    qr.cls = s.cls;
+    // A fault retry already paid its queueing delay: it goes first, at
+    // rank 0 and with no deadline. Anything else, a preempted batch
+    // session too, is released by QoS rank, or preemption would just
+    // thrash. Deadline-aware release ordering is part of the QoS
+    // feature; off, the budget only drives shedding and goodput.
+    qr.priority = retry;
+    if (!retry) {
+        const Tick budget = queueBudgetOf(s.cls);
+        qr.qosPriority = qosRankOf(s.cls);
+        qr.deadline = cfg.qos.enabled && budget > 0 ? eq.now() + budget : 0;
+    }
+    return qr;
 }
 
 Tick
@@ -549,22 +512,28 @@ ServeEngine::qosRankOf(std::size_t cls) const
     return cfg.qos.enabled ? qosPriorityOf(classes[cls].qos) : 0;
 }
 
-bool
+void
 ServeEngine::tryPreempt(int arrivingRank)
 {
     // Transient free capacity (device repair mid-queue) beats paying
     // for a preemption.
     if (auto released = adm.releaseIfFree()) {
         admitSession(released->session);
-        return true;
+        return;
     }
 
     const SessionRecord *victim = preemptionVictim(arrivingRank);
     if (!victim)
-        return false;
+        return;
 
-    preemptSession(*sessions[victim->id]);
-    return true;
+    // Unlike an eviction, the requeue is a plain backoff: preemption
+    // never burns the fault-retry budget.
+    const std::uint64_t sid = victim->id;
+    interrupt(*sessions[sid], SessionStep::Preempt);
+    sessions[sid]->retryEv =
+        eq.scheduleIn(cfg.qos.preemptionBackoff, [this, sid] {
+            requeue(sid, SessionStep::PreemptRequeue);
+        });
 }
 
 const SessionRecord *
@@ -584,74 +553,6 @@ ServeEngine::preemptionVictim(int arriving_rank) const
             return &s;
     }
     return nullptr;
-}
-
-void
-ServeEngine::preemptSession(SessionRecord &s)
-{
-    // Identical bookkeeping to a fault eviction — retire the
-    // incarnation (folding its exact meter usage), freeze the
-    // departure clock — except the requeue is a plain backoff, not a
-    // retry: preemption never burns the fault-retry budget.
-    untrackPlaced(s);
-    foldIncarnation(s, fleet.retireTask(*s.task));
-    s.task = nullptr;
-    ++s.preemptions;
-    s.preemptResume = true;
-
-    if (s.departureEv != invalidEventId) {
-        eq.cancel(s.departureEv);
-        s.departureEv = invalidEventId;
-        s.remainingLifetime = std::max<Tick>(0, s.departAt - eq.now());
-        s.departAt = -1;
-    } else {
-        s.remainingLifetime = -1;
-    }
-
-    publish(SessionStep::Preempt, s, s.preemptions, s.remainingLifetime);
-
-    // The freed slot releases the queue's best request — the
-    // preemption-causing interactive, unless a priority retry or an
-    // earlier-deadline peer outranks it (all deterministic).
-    freeSlot(s.tenant);
-
-    const std::uint64_t sid = s.id;
-    s.retryEv = eq.scheduleIn(cfg.qos.preemptionBackoff,
-                              [this, sid] { preemptRequeue(sid); });
-}
-
-void
-ServeEngine::preemptRequeue(std::uint64_t sid)
-{
-    SessionRecord &s = *sessions[sid];
-    s.retryEv = invalidEventId;
-    if (s.done)
-        return;
-
-    // Hopeless fleet mid-backoff: fall into the fault plane's capped
-    // retry loop rather than queueing toward zero capacity.
-    if (fleet.upDeviceCount() == 0 || adm.capacity() == 0) {
-        scheduleRetry(s);
-        return;
-    }
-
-    publish(SessionStep::PreemptRequeue, s, s.preemptions);
-
-    const ServeClass &c = classes[s.cls];
-    const Tick budget = queueBudgetOf(s.cls);
-    QueuedRequest qr;
-    qr.session = sid;
-    qr.tenant = s.tenant;
-    qr.demand = c.demand;
-    qr.enqueued = eq.now();
-    qr.qosPriority = qosRankOf(s.cls);
-    qr.cls = s.cls;
-    qr.deadline =
-        cfg.qos.enabled && budget > 0 ? eq.now() + budget : 0;
-    // No priority flag: a preempted batch session re-queues behind
-    // interactive traffic by rank, or preemption would just thrash.
-    if (adm.arrive(qr))
-        admitSession(sid);
 }
 
 void

@@ -184,7 +184,8 @@ struct SessionEvent
 
 /**
  * A traced session step. Each step has one row in sessionSteps and
- * one tally; ServeEngine publishes it at the one place it happens.
+ * one tally; ServeEngine publishes it from one function, the body of
+ * its transition.
  */
 enum class SessionStep : std::uint8_t
 {
@@ -367,18 +368,49 @@ class ServeEngine
     void scheduleNextArrival(std::size_t cls);
     void onArrival(std::size_t cls);
     void admitSession(std::uint64_t sid);
-    void onDeparture(std::uint64_t sid);
-    void finalizeKill(std::uint64_t sid);
-    void onEviction(Task &t);
     void onFleetCapacityChange();
     void scheduleRetry(SessionRecord &s);
-    void retryArrive(std::uint64_t sid);
-    void shedSession(SessionRecord &s);
-    void throttleSession(SessionRecord &s);
-    void shedAtFrontDoor(SessionRecord &s, const ShedDecision &d);
-    bool tryPreempt(int arrivingRank);
-    void preemptSession(SessionRecord &victim);
-    void preemptRequeue(std::uint64_t sid);
+    void tryPreempt(int arrivingRank);
+
+    // One body per session transition; the step picks the counter
+    // bumped and the flag set, never the order.
+
+    /**
+     * Depart or Kill: end placed session @p s. It publishes before the
+     * fleet retires the incarnation (a killed one is already torn
+     * down, so the retire only reads its usage) and frees the slot
+     * last.
+     */
+    void endSession(SessionRecord &s, SessionStep step);
+
+    /**
+     * Evict or Preempt: retire and fold @p s's incarnation, freeze its
+     * remaining lifetime, publish, then free the slot. The caller
+     * schedules the requeue.
+     */
+    void interrupt(SessionRecord &s, SessionStep step);
+
+    /**
+     * RetryArrive or PreemptRequeue, as the caller scheduled it: put
+     * session @p sid back in the admission queue. With no capacity up
+     * it takes a fault-retry backoff instead, whose requeue is a
+     * RetryArrive even for a preempted session.
+     */
+    void requeue(std::uint64_t sid, SessionStep step);
+
+    /**
+     * Throttle, Shed or ShedPredicted: end unplaced session @p s
+     * without service, publishing @p arg0 and @p arg1.
+     */
+    void drop(SessionRecord &s, SessionStep step, std::int64_t arg0,
+              std::int64_t arg1 = 0);
+
+    /**
+     * The admission request of @p s: a priority fault @p retry, or one
+     * released by QoS rank and deadline.
+     */
+    QueuedRequest queuedRequestOf(const SessionRecord &s, bool retry) const;
+
     Tick queuedWorkAhead(int rank) const;
     int qosRankOf(std::size_t cls) const;
     void freeSlot(const std::string &tenant);
